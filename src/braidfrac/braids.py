@@ -11,15 +11,18 @@ strand ending at a bottom position whose tree has k leaves is replaced by k
 parallel strands, each crossing becoming the block crossing of the two
 cables.
 
-Two independent decision procedures for the braid word problem live here.
-Handle reduction repeatedly removes the leftmost handle (a subword
-sigma_i^e u sigma_i^{-e} where u avoids generators i and i-1) and terminates
-in a word where the least occurring index shows a single sign; the empty
-output characterizes the trivial braid, and the surviving sign is the
-Dehornoy sign.  The lamination action tracks integral coordinates of a
-curve system punctured by the strands; a braid is trivial iff it fixes the
-initial coordinates.  The two routes are kept separate so that tests can
-play them against each other.
+Two independent decision procedures for the braid word problem live here,
+and each decides one question for the fraction groups.  Handle reduction
+repeatedly removes the leftmost-closing handle (a subword sigma_i^e u
+sigma_i^{-e} where u avoids generators i and i-1) and terminates in a word
+where the least occurring index shows a single sign; that sign is the
+Dehornoy sign, and the empty output characterizes the trivial braid.  It
+decides the braided sign, and its step budget bounds it.  The lamination
+action tracks integral (Dynnikov) coordinates of a curve system punctured
+by the strands; a braid is trivial iff it fixes the initial coordinates.
+It always terminates in one pass over the word, so it decides identity and
+takes no budget.  The two routes are kept separate so that tests can play
+them against each other.
 """
 
 from __future__ import annotations
@@ -105,29 +108,40 @@ class BraidWord:
         return " ".join(str(d) for d in self.letters)
 
 
-def _find_handle(ls: list[int]) -> tuple[int, int] | None:
-    """Leftmost-closing handle (k, j): ls[k] = -ls[j], |ls| = i between them
-    absent, and index i-1 absent as well."""
-    for j, d in enumerate(ls):
+def _find_handle(ls: list[int], start: int, strands: int) -> tuple[int, int] | None:
+    """Leftmost-closing handle (k, j) with j >= start: ls[k] = -ls[j] = ±i,
+    and neither index i nor i-1 occurs between them.  The caller guarantees
+    that no handle closes before `start`.  last[g] is the latest position
+    of generator g before j, so the nearest letter of index i or i-1 is the
+    later of last[i] and last[i-1]."""
+    last = [-1] * (strands + 1)
+    for p in range(start):
+        last[abs(ls[p])] = p
+    for j in range(start, len(ls)):
+        d = ls[j]
         i = abs(d)
-        for k in range(j - 1, -1, -1):
-            a = abs(ls[k])
-            if a == i:
-                if ls[k] == -d:
-                    return k, j
-                break
-            if a == i - 1:
-                break
+        k = last[i]
+        if k > last[i - 1] and ls[k] == -d:
+            return k, j
+        last[i] = j
     return None
 
 
 def handle_reduce(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> BraidWord:
     """Reduce to a word in which the least occurring generator index carries
-    a single sign; empty iff the braid is trivial."""
+    a single sign; empty iff the braid is trivial.
+
+    Each rewrite replaces the leftmost-closing handle ls[k..j] and freely
+    reduces only at the seams.  Whether a handle closes at position p
+    depends on ls[:p+1] alone, and none closed before j, so the scan
+    resumes at the shortest prefix the rewrite left untouched instead of at
+    the start of the word.  Raises StepBudgetExceeded on rewrite budget+1.
+    """
     ls = list(free_reduce(w.letters))
     steps = 0
+    start = 0
     while True:
-        h = _find_handle(ls)
+        h = _find_handle(ls, start, w.strands)
         if h is None:
             return BraidWord(w.strands, tuple(ls))
         steps += 1
@@ -138,14 +152,33 @@ def handle_reduce(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> BraidWord:
         k, j = h
         e = 1 if ls[k] > 0 else -1
         i = abs(ls[k])
-        mid: list[int] = []
+        # ls is freely reduced, so its prefix seeds the reduction stack and
+        # only the rewritten middle and the seam with the suffix can cancel
+        out = ls[:k]
+        start = k
         for d in ls[k + 1 : j]:
             if abs(d) == i + 1:
                 s = 1 if d > 0 else -1
-                mid.extend((-e * (i + 1), s * i, e * (i + 1)))
+                rep: tuple[int, ...] = (-e * (i + 1), s * i, e * (i + 1))
             else:
-                mid.append(d)
-        ls = list(free_reduce(tuple(ls[:k]) + tuple(mid) + tuple(ls[j + 1 :])))
+                rep = (d,)
+            for x in rep:
+                if out and out[-1] == -x:
+                    out.pop()
+                    if len(out) < start:
+                        start = len(out)
+                else:
+                    out.append(x)
+        # the suffix is reduced too: once one of its letters stays, the
+        # rest cannot cancel
+        p = j + 1
+        while p < len(ls) and out and out[-1] == -ls[p]:
+            out.pop()
+            p += 1
+        if len(out) < start:
+            start = len(out)
+        out.extend(ls[p:])
+        ls = out
 
 
 def dehornoy_sign(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> Sign:
@@ -248,9 +281,6 @@ class DigitalBraid:
     def is_pure(self) -> bool:
         n = self.word.strands
         return self.word.permutation() == tuple(range(1, n + 1))
-
-    def is_trivial_labels(self) -> bool:
-        return not self.word.letters
 
 
 def forget_digits(g: DigitalBraid) -> BraidWord:

@@ -5,6 +5,10 @@ on element expressions; ``realize`` prints the exact PL realization of a
 plain element; ``axioms`` runs a randomized verification suite and exits
 nonzero on any failure.
 
+Exit codes: 0 on success, 1 when an ``axioms`` suite has failures, 2 on
+bad input, and 3 when an order query is undecided within its limits (the
+handle-reduction step budget or the Magnus degree cap).
+
 Element expressions combine atoms with ``*`` and ``inv(...)``.  Atoms are
 fraction literals ``frac T=[steps] B=[braid word] S=[steps]`` or braided
 Houghton generators: ``bh1(i; [steps])`` swaps the x and ray letter at
@@ -23,7 +27,7 @@ import argparse
 import re
 import sys
 
-from .braids import BraidError, BraidWord
+from .braids import BraidError, BraidWord, StepBudgetExceeded
 from .drs import (
     DigitRewritingSystem,
     DrsError,
@@ -43,6 +47,7 @@ from .fraction import (
     parse_element,
 )
 from .harness import SUITE_NAMES, HarnessError, report_format, run_suite
+from .magnus import DegreeCapExceeded
 from .plmaps import realize_pair
 
 
@@ -252,6 +257,18 @@ def _cmd_axioms(args) -> int:
     return 0 if report.passed else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--drs", required=True, help="family name or DRS file")
     parser.add_argument(
@@ -260,7 +277,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=[f.value for f in Flavor],
     )
     parser.add_argument("--base", help="base word (space-separated letters)")
-    parser.add_argument("--degree-cap", type=int, default=16)
+    parser.add_argument("--degree-cap", type=_positive_int, default=16)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -320,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, DrsError, BraidError, FractionError, HarnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (StepBudgetExceeded, DegreeCapExceeded) as exc:
+        print(f"undecided within limits: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ The left order on the Braided flavor is braid-first: an element is positive
 when its braid factor handle-reduces to a positive word, with ties (trivial
 braid factor) broken by the first-deviation sign of the PL realization of
 the forest pair.  Triviality of the braid factor does not depend on the
-chosen representative, so the case split is well defined.
+chosen representative, so the case split is well defined.  One handle
+reduction decides both the sign and the tie, and the step `budget` bounds
+that reduction only.
 
 The bi-order on the PureBraided flavor is quotient-first: the group splits
 as a semidirect product of the kernel of the braid-forgetting projection by
@@ -26,10 +28,13 @@ quotient most significant is invariant on both sides (the braid-first cone
 is a left order only, since conjugating a braid-free element generally
 picks up a braid factor).  So a pure element is signed by the PL
 realization of its forest pair first, and by the Magnus sign of its braid
-factor when the forests agree.
+factor when the forests agree; that sign is bounded by `degree_cap` alone.
 
-The identity test needs no canonical form in either flavor: trivial braid
-plus structurally equal forests.
+The identity test needs no canonical form in any flavor: structurally
+equal forests plus a trivial braid, decided by the lamination action,
+which always terminates and so takes no budget.  Handle reduction and the
+lamination action stay independent, so tests can play the identity test
+against the sign.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .braids import (
     act_bottom,
     dehornoy_sign,
     free_reduce,
-    handle_reduce,
+    lamination_trivial,
 )
 from .drs import (
     DigitRewritingSystem,
@@ -144,12 +149,17 @@ class FractionElement:
         return FractionElement(self.context, self.S, self.g.invert(), self.T)
 
     def is_identity(self, budget: int | None = None) -> bool:
+        """Structurally equal forests and a trivial braid factor.
+
+        Braid triviality is decided by the lamination action, which needs
+        no step budget; `budget` is accepted for symmetry with `sign` and
+        `compare`, and ignored.
+        """
         if self.T != self.S:
             return False
         if self.context.flavor is Flavor.PERMUTATION:
             return self.g.is_pure()
-        kwargs = {} if budget is None else {"budget": budget}
-        return not handle_reduce(self.g.word, **kwargs).letters
+        return lamination_trivial(self.g.word)
 
     # -- order --
 
@@ -158,13 +168,21 @@ class FractionElement:
         degree_cap: int = DEFAULT_DEGREE_CAP,
         budget: int | None = None,
     ) -> Sign:
+        """Sign of the element in its flavor's order.
+
+        Braided: the Dehornoy sign of the braid factor from one handle
+        reduction, bounded by `budget` rewrites (StepBudgetExceeded), and
+        the PL sign of the forest pair when the braid is trivial.  Pure:
+        the PL sign first, then the Magnus sign of the braid factor,
+        bounded by `degree_cap` (DegreeCapExceeded); `budget` is unused.
+        Plain: the PL sign.
+        """
         flavor = self.context.flavor
         if flavor not in ORDERABLE_FLAVORS:
             raise TorsionOrderError(
                 "permutation-flavored fraction groups contain torsion and "
                 "admit no left order"
             )
-        kwargs = {} if budget is None else {"budget": budget}
         if flavor is Flavor.PURE_BRAIDED:
             # quotient-first: the pure group splits as kernel-by-plain, and
             # only the quotient-first lexicographic order is two-sided
@@ -175,9 +193,10 @@ class FractionElement:
             return pure_word_sign(
                 self.g.word.letters, self.g.word.strands, degree_cap
             )
-        reduced = handle_reduce(self.g.word, **kwargs)
-        if reduced.letters:
-            return dehornoy_sign(reduced, **kwargs)
+        kwargs = {} if budget is None else {"budget": budget}
+        s = dehornoy_sign(self.g.word, **kwargs)
+        if s is not Sign.ZERO:
+            return s
         return pl_sign(realize_pair(self.T, self.S))
 
     def compare(

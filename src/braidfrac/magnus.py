@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braids import BraidWord, DigitalBraid
+from .braids import BraidWord, DigitalBraid, free_reduce
 from .ordering import Sign
 
 FreeWord = tuple[int, ...]
@@ -51,16 +51,6 @@ class MagnusError(ValueError):
 
 class DegreeCapExceeded(RuntimeError):
     """Magnus escalation hit the truncation cap without deciding a sign."""
-
-
-def reduce_free(word: FreeWord) -> FreeWord:
-    out: list[int] = []
-    for t in word:
-        if out and out[-1] == -t:
-            out.pop()
-        else:
-            out.append(t)
-    return tuple(out)
 
 
 def invert_free(word: FreeWord) -> FreeWord:
@@ -158,7 +148,7 @@ def magnus_expand(word: FreeWord, degree: int) -> NcPolynomial:
 
 
 def free_word_sign(word: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sign:
-    w = reduce_free(word)
+    w = free_reduce(word)
     if not w:
         return Sign.ZERO
     for d in range(1, degree_cap + 1):
@@ -218,12 +208,12 @@ def delete_strand(letters: tuple[int, ...], n: int, strand: int = 0) -> tuple[in
         else:
             idx = k - 1 if k > p else k
             out.append(idx if d > 0 else -idx)
-    return reduce_free(tuple(out))
+    return free_reduce(tuple(out))
 
 
 def _peel_conjugator(word: FreeWord, center: int) -> FreeWord:
     """For a reduced word of shape u (center) u^{-1}, return u."""
-    w = reduce_free(word)
+    w = free_reduce(word)
     lo, hi = 0, len(w) - 1
     while hi - lo > 0:
         if w[lo] != -w[hi]:
@@ -260,7 +250,7 @@ def _raw_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
     trivializes when strand k is deleted."""
     image = artin_image(braid_letters, (k,))
     conjugator = _peel_conjugator(image, k)
-    return reduce_free(tuple(t for t in conjugator if abs(t) != k))
+    return free_reduce(tuple(t for t in conjugator if abs(t) != k))
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +266,7 @@ def _standard_basis(k: int) -> dict[int, FreeWord]:
                 f"basis triangularity failed at strand {k}, generator {j}"
             )
         sub_u = _substitute(u, exprs)
-        exprs[j] = reduce_free(invert_free(sub_u) + (j,) + sub_u)
+        exprs[j] = free_reduce(invert_free(sub_u) + (j,) + sub_u)
     return exprs
 
 
@@ -303,11 +293,11 @@ def _check_pure_word(letters: tuple[int, ...], n: int) -> None:
 def _level_words(letters: tuple[int, ...], n: int):
     """Yield (k, c_letters) per level, c_letters a pure word on k strands
     trivialized by deleting strand k."""
-    w = reduce_free(letters)
+    w = free_reduce(letters)
     for k in range(n, 1, -1):
         wbar = delete_strand(w, k)
         lift_inv = tuple(-d for d in reversed(wbar))
-        yield k, reduce_free(lift_inv + w)
+        yield k, free_reduce(lift_inv + w)
         w = wbar
 
 
@@ -337,7 +327,7 @@ def recombine(form: CombedForm, n: int | None = None) -> BraidWord:
         for t in component:
             gen = _loop_generator_word(abs(t), k)
             tail.extend(gen if t > 0 else tuple(-d for d in reversed(gen)))
-        word = reduce_free(word + tuple(tail))
+        word = free_reduce(word + tuple(tail))
         k += 1
     return BraidWord(n, word)
 
@@ -349,12 +339,9 @@ def pure_word_sign(
     pure braid group under strand deletion is compared before the combing
     component of the deleted strand, so the level-2 component is the most
     significant.  Kernel-first comparison would only be left-invariant;
-    quotient-first gives the two-sided order the fraction groups rely on."""
+    quotient-first gives the two-sided order the fraction groups rely on.
+    A trivial braid combs into empty components and signs zero."""
     _check_pure_word(letters, n)
-    from .braids import BraidWord, handle_reduce
-
-    if not handle_reduce(BraidWord(n, letters)).letters:
-        return Sign.ZERO
     levels = list(_level_words(letters, n))
     for k, c in reversed(levels):
         component = _level_component(c, k)

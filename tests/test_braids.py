@@ -108,6 +108,93 @@ def test_word_problem_cross_oracle():
         assert is_trivial_word(w) == lamination_trivial(w)
 
 
+def _reference_handle_reduce(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Full-rescan handle reduction: after every rewrite, free-reduce the
+    whole word and search for the leftmost-closing handle from index 0.
+    Returns the reduced word and the number of rewrites."""
+
+    def find_handle(ls):
+        for j, d in enumerate(ls):
+            i = abs(d)
+            for k in range(j - 1, -1, -1):
+                a = abs(ls[k])
+                if a == i:
+                    if ls[k] == -d:
+                        return k, j
+                    break
+                if a == i - 1:
+                    break
+        return None
+
+    ls = list(free_reduce(letters))
+    steps = 0
+    while True:
+        h = find_handle(ls)
+        if h is None:
+            return tuple(ls), steps
+        steps += 1
+        k, j = h
+        e = 1 if ls[k] > 0 else -1
+        i = abs(ls[k])
+        mid: list[int] = []
+        for d in ls[k + 1 : j]:
+            if abs(d) == i + 1:
+                s = 1 if d > 0 else -1
+                mid.extend((-e * (i + 1), s * i, e * (i + 1)))
+            else:
+                mid.append(d)
+        ls = list(free_reduce(tuple(ls[:k]) + tuple(mid) + tuple(ls[j + 1 :])))
+
+
+def _differential_corpus(thompson2):
+    """Seeded words of three kinds: random words on 2-10 strands,
+    commutators u v u^-1 v^-1, and words cabled by act_bottom."""
+    rng = random.Random(2024)
+
+    def word(n, length):
+        return tuple(
+            rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(length)
+        )
+
+    for _ in range(800):
+        n = rng.randint(2, 10)
+        yield BraidWord(n, word(n, rng.randint(0, 30)))
+    for _ in range(700):
+        n = rng.randint(2, 8)
+        u, v = word(n, rng.randint(1, 8)), word(n, rng.randint(1, 8))
+        uw, vw = BraidWord(n, u), BraidWord(n, v)
+        yield BraidWord(n, u + v + uw.inverse().letters + vw.inverse().letters)
+    for _ in range(600):
+        # g h^-1 after cabling both along one forest, as in a comparison
+        n = rng.randint(2, 4)
+        labels = ("x",) * n
+        g, h = (
+            DigitalBraid(labels, labels, BraidWord(n, word(n, rng.randint(1, 6))))
+            for _ in range(2)
+        )
+        b = ExpansionForest.identity(thompson2, labels)
+        for _ in range(rng.randint(1, 3)):
+            b = expand_at(b, rng.randint(1, len(b.leaves())))
+        yield act_bottom(g, b)[1].word * act_bottom(h, b)[1].word.inverse()
+
+
+def test_handle_reduce_matches_full_rescan(thompson2):
+    """The resumable reducer performs the same rewrites as a full rescan:
+    equal output words, equal rewrite counts, and StepBudgetExceeded at
+    exactly the same budget."""
+    words = list(_differential_corpus(thompson2))
+    assert len(words) >= 2000
+    rewrites = 0
+    for w in words:
+        expected, steps = _reference_handle_reduce(w.letters)
+        rewrites += steps
+        assert handle_reduce(w, budget=steps).letters == expected
+        if steps:
+            with pytest.raises(StepBudgetExceeded):
+                handle_reduce(w, budget=steps - 1)
+    assert rewrites > len(words)  # the corpus exercises the rewriting
+
+
 def test_lamination_initial():
     assert lamination_initial(3) == (0, 1, 0, 1, 0, 1)
     assert lamination_apply(BraidWord(3, ())) == lamination_initial(3)

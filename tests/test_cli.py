@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from braidfrac.cli import main
+from braidfrac.fraction import FractionElement
 
 
 def run(capsys, *argv):
@@ -47,6 +48,38 @@ def test_sign_pure_and_plain(capsys):
         "frac T=[1 1] B=[] S=[1 2]",
     )
     assert code == 0 and out == "negative"
+
+
+PURE_COMMUTATOR = "frac T=[1 1] B=[1 1 2 2 -1 -1 -2 -2] S=[1 1]"
+
+
+def test_degree_cap_exceeded_is_undecided(capsys):
+    args = ("sign", "--drs", "thompson:2", "--flavor", "pure")
+    code, out, _ = run(capsys, *args, PURE_COMMUTATOR)
+    assert code == 0 and out == "negative"
+    code, out, err = run(capsys, *args, "--degree-cap", "1", PURE_COMMUTATOR)
+    assert code == 3 and out == ""
+    assert err.startswith("undecided within limits: ")
+
+
+def test_step_budget_exceeded_is_undecided(capsys, monkeypatch):
+    sign = FractionElement.sign
+    monkeypatch.setattr(
+        FractionElement, "sign", lambda self, **kw: sign(self, budget=1, **kw)
+    )
+    literal = "frac T=[1 1] B=[1 2 -1 -2 1 2 -1 -2] S=[1 1]"
+    code, _, err = run(capsys, "sign", "--drs", "thompson:2", literal)
+    assert code == 3 and err.startswith("undecided within limits: ")
+
+
+@pytest.mark.parametrize("cap", ["0", "-2", "x"])
+def test_degree_cap_must_be_positive(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["sign", "--drs", "thompson:2", "--degree-cap", cap, "frac T=[] B=[] S=[]"]
+        )
+    assert exc.value.code == 2
+    assert "--degree-cap" in capsys.readouterr().err
 
 
 def test_compare_plain_generator_with_identity(capsys):

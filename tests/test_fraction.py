@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from braidfrac.braids import BraidWord, DigitalBraid
+from braidfrac.braids import BraidWord, DigitalBraid, handle_reduce
 from braidfrac.drs import ExpansionForest, forest_from_steps
 from braidfrac.fraction import (
     ContextMismatchError,
@@ -191,3 +191,28 @@ def test_group_laws_random(h3_braided):
         b = random_element(h3_braided, 3, seed + 100, max_braid_letters=6)
         c = random_element(h3_braided, 3, seed + 200, max_braid_letters=6)
         assert (((a * b) * c).invert() * (a * (b * c))).is_identity()
+
+
+@pytest.mark.parametrize("flavor", ["braided", "pure", "plain"])
+def test_identity_and_zero_sign_cross_oracle(thompson2, houghton3, flavor):
+    """is_identity, decided by the lamination action, agrees with equal
+    forests plus an empty handle reduction; and sign() is zero exactly on
+    the identity."""
+    seen = {True: 0, False: 0}
+    for drs in (thompson2, houghton3):
+        ctx = make_context(drs, flavor)
+        for seed in range(25):
+            a, b, c = (
+                random_element(ctx, 3, seed + k, max_braid_letters=6)
+                for k in (0, 1000, 2000)
+            )
+            # associativity differences are identities spelled by
+            # nontrivial braid words
+            for e in (a, a.invert() * b, ((a * b) * c).invert() * (a * (b * c))):
+                ident = e.is_identity()
+                assert ident == (
+                    e.T == e.S and not handle_reduce(e.g.word).letters
+                )
+                assert (e.sign() is Sign.ZERO) == ident
+                seen[ident] += 1
+    assert seen[True] and seen[False]

@@ -31,7 +31,6 @@ from braidfrac.magnus import (
     pure_braid_sign,
     pure_word_sign,
     recombine,
-    reduce_free,
 )
 from braidfrac.ordering import Sign
 
@@ -54,7 +53,7 @@ def random_pure_word(rng: random.Random, n: int, size: int) -> tuple[int, ...]:
 
 
 def test_free_word_helpers():
-    assert reduce_free((1, -1, 2)) == (2,)
+    assert free_reduce((1, -1, 2)) == (2,)
     assert invert_free((1, -2)) == (2, -1)
 
 
