@@ -50,7 +50,14 @@ from .magnus import (
     recombine,
 )
 from .ordering import Comparison, Sign
-from .plmaps import PLMap, pl_compose, pl_sign, realize_forest, realize_pair
+from .plmaps import (
+    PLMap,
+    pl_compose,
+    pl_sign,
+    realization_sign,
+    realize_forest,
+    realize_pair,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

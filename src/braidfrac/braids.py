@@ -79,9 +79,6 @@ class BraidWord:
             raise BraidError("strand count mismatch")
         return BraidWord(self.strands, free_reduce(self.letters + other.letters))
 
-    def free_reduced(self) -> "BraidWord":
-        return BraidWord(self.strands, free_reduce(self.letters))
-
     def permutation(self) -> tuple[int, ...]:
         """images[i-1] = bottom position reached by the strand starting at
         top position i."""

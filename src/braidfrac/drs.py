@@ -104,7 +104,7 @@ class DigitRewritingSystem:
 
     def check_word(self, word: Word) -> Word:
         for a in word:
-            if a not in self.rule_map and a not in self.alphabet:
+            if a not in self.alphabet:
                 raise DrsError(f"unknown letter {a!r}")
         return word
 
@@ -126,9 +126,6 @@ class ExpansionTree:
         else:
             for c in self.children:
                 yield from c.leaf_labels()
-
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 def _check_tree(drs: DigitRewritingSystem, tree: ExpansionTree) -> None:
@@ -167,9 +164,6 @@ class ExpansionForest:
 
     def leaf_count(self) -> int:
         return sum(t.leaf_count for t in self.trees)
-
-    def is_identity(self) -> bool:
-        return all(t.is_leaf() for t in self.trees)
 
     @classmethod
     def identity(cls, drs: DigitRewritingSystem, word: Word) -> "ExpansionForest":

@@ -19,7 +19,8 @@ braid factor) broken by the first-deviation sign of the PL realization of
 the forest pair.  Triviality of the braid factor does not depend on the
 chosen representative, so the case split is well defined.  One handle
 reduction decides both the sign and the tie, and the step `budget` bounds
-that reduction only.
+that reduction only.  The PL sign, here and below, is read straight off
+the two forests by `plmaps.realization_sign`; no map is built.
 
 The bi-order on the PureBraided flavor is quotient-first: the group splits
 as a semidirect product of the kernel of the braid-forgetting projection by
@@ -68,7 +69,7 @@ from .drs import (
 )
 from .magnus import DEFAULT_DEGREE_CAP, pure_word_sign
 from .ordering import Comparison, Sign
-from .plmaps import pl_sign, realize_pair
+from .plmaps import realization_sign
 
 
 class FractionError(ValueError):
@@ -175,7 +176,8 @@ class FractionElement:
         the PL sign of the forest pair when the braid is trivial.  Pure:
         the PL sign first, then the Magnus sign of the braid factor,
         bounded by `degree_cap` (DegreeCapExceeded); `budget` is unused.
-        Plain: the PL sign.
+        Plain: the PL sign.  The PL sign is `realization_sign(T, S)`, read
+        off the two forests without building the PL map.
         """
         flavor = self.context.flavor
         if flavor not in ORDERABLE_FLAVORS:
@@ -187,7 +189,7 @@ class FractionElement:
             # quotient-first: the pure group splits as kernel-by-plain, and
             # only the quotient-first lexicographic order is two-sided
             # invariant (the braid-first cone is merely a left order)
-            q = pl_sign(realize_pair(self.T, self.S))
+            q = realization_sign(self.T, self.S)
             if q is not Sign.ZERO:
                 return q
             return pure_word_sign(
@@ -197,7 +199,7 @@ class FractionElement:
         s = dehornoy_sign(self.g.word, **kwargs)
         if s is not Sign.ZERO:
             return s
-        return pl_sign(realize_pair(self.T, self.S))
+        return realization_sign(self.T, self.S)
 
     def compare(
         self,
@@ -331,14 +333,14 @@ def _cancel_once(e: FractionElement) -> FractionElement | None:
 # --- random generation --------------------------------------------------------
 
 def _grow_forest(
-    context: GroupContext, steps: int, rng: random.Random
+    drs: DigitRewritingSystem, word: Word, steps: int, rng: random.Random
 ) -> ExpansionForest:
-    f = ExpansionForest.identity(context.drs, context.base)
+    f = ExpansionForest.identity(drs, word)
     for _ in range(steps):
         positions = [
             p
             for p, letter in enumerate(f.leaves(), start=1)
-            if context.drs.rule_for(letter) is not None
+            if drs.rule_for(letter) is not None
         ]
         if not positions:
             break
@@ -385,7 +387,7 @@ def _steer_to_target(
 def _braid_piece(
     context: GroupContext, steps: int, max_letters: int, rng: random.Random
 ) -> FractionElement:
-    f = _grow_forest(context, steps, rng)
+    f = _grow_forest(context.drs, context.base, steps, rng)
     w = f.leaves()
     n = len(w)
     letters: list[int] = []
@@ -408,10 +410,10 @@ def _braid_piece(
 def _plain_piece(
     context: GroupContext, steps: int, rng: random.Random
 ) -> FractionElement:
-    t = _grow_forest(context, steps, rng)
+    t = _grow_forest(context.drs, context.base, steps, rng)
     s = t
     for _ in range(64):
-        cand = _grow_forest(context, steps, rng)
+        cand = _grow_forest(context.drs, context.base, steps, rng)
         if cand.leaves() == t.leaves():
             s = cand
             break

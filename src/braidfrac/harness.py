@@ -27,18 +27,19 @@ from .braids import (
     handle_reduce,
     lamination_trivial,
 )
-from .drs import ExpansionForest, enumerate_expansions, expand_at, forest_join, graft
+from .drs import ExpansionForest, enumerate_expansions, expand_at, graft
 from .fraction import (
     Flavor,
     FractionElement,
     GroupContext,
     _braid_piece,
+    _grow_forest,
     format_element,
     random_element,
 )
 from .magnus import DEFAULT_DEGREE_CAP, pure_word_sign
 from .ordering import Sign
-from .plmaps import pl_compose, realize_forest, realize_pair
+from .plmaps import pl_compose, pl_sign, realization_sign, realize_forest, realize_pair
 
 
 class HarnessError(ValueError):
@@ -226,26 +227,12 @@ def _random_digital_braid(context, rng, budget, letters):
     return _braid_piece(context, rng.randint(0, budget), letters, rng).g
 
 
-def _random_forest_from(context, word, steps, rng):
-    f = ExpansionForest.identity(context.drs, word)
-    for _ in range(steps):
-        positions = [
-            p
-            for p, a in enumerate(f.leaves(), start=1)
-            if context.drs.rule_for(a) is not None
-        ]
-        if not positions:
-            break
-        f = expand_at(f, rng.choice(positions))
-    return f
-
-
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
     # g^(B1 B2) = (g^B1)^B2
     g = _random_digital_braid(context, rng, budget, letters)
-    b1 = _random_forest_from(context, g.bottom, rng.randint(0, budget), rng)
+    b1 = _grow_forest(context.drs, g.bottom, rng.randint(0, budget), rng)
     _, gb1 = act_bottom(g, b1)
-    b2 = _random_forest_from(context, gb1.bottom, rng.randint(0, budget), rng)
+    b2 = _grow_forest(context.drs, gb1.bottom, rng.randint(0, budget), rng)
     _, gb12 = act_bottom(gb1, b2)
     _, g_joint = act_bottom(g, graft(b1, b2))
     if not _braids_equal(gb12, g_joint):
@@ -262,7 +249,7 @@ def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
         # bottom when the words differ
         g2 = DigitalBraid.identity(g1.bottom)
     composite = g1.compose(g2)
-    b = _random_forest_from(context, g2.bottom, rng.randint(0, budget), rng)
+    b = _grow_forest(context.drs, g2.bottom, rng.randint(0, budget), rng)
     _, both = act_bottom(composite, b)
     b2up, g2b = act_bottom(g2, b)
     _, g1b = act_bottom(g1, b2up)
@@ -285,8 +272,8 @@ def _suite_same_sign(context, rng, budget, letters, degree_cap):
     reference = _braid_factor_sign(e, degree_cap)
     current = e
     for _ in range(3):
-        p = _random_forest_from(
-            context, current.g.bottom, rng.randint(0, budget), rng
+        p = _grow_forest(
+            context.drs, current.g.bottom, rng.randint(0, budget), rng
         )
         bup, gp = act_bottom(current.g, p)
         current = FractionElement(
@@ -317,16 +304,16 @@ def _suite_semidirect(context, rng, budget, letters, degree_cap):
 
 
 def _suite_realization(context, rng, budget, letters, degree_cap):
-    f = _random_forest_from(context, context.base, rng.randint(0, budget), rng)
-    g = _random_forest_from(context, f.leaves(), rng.randint(0, budget), rng)
+    f = _grow_forest(context.drs, context.base, rng.randint(0, budget), rng)
+    g = _grow_forest(context.drs, f.leaves(), rng.randint(0, budget), rng)
     if realize_forest(graft(f, g)) != pl_compose(realize_forest(f), realize_forest(g)):
         return (
             "realization not functorial on forests with targets "
             f"{f.leaves()} and {g.leaves()}"
         )
-    t = _random_forest_from(context, context.base, rng.randint(1, budget), rng)
+    t = _grow_forest(context.drs, context.base, rng.randint(1, budget), rng)
     for _ in range(32):
-        s = _random_forest_from(context, context.base, rng.randint(1, budget), rng)
+        s = _grow_forest(context.drs, context.base, rng.randint(1, budget), rng)
         if s.leaves() == t.leaves():
             break
     else:
@@ -337,6 +324,8 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
             "realization faithfulness failed for forests with leaves "
             f"{t.leaves()}"
         )
+    if realization_sign(t, s) is not pl_sign(m):
+        return f"realization_sign disagrees with pl_sign on leaves {t.leaves()}"
     return None
 
 

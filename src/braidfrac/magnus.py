@@ -87,9 +87,6 @@ class NcPolynomial:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash((self.degree, frozenset(self.coeffs.items())))
-
     def __mul__(self, other: "NcPolynomial") -> "NcPolynomial":
         d = min(self.degree, other.degree)
         out: dict[Monomial, int] = {}

@@ -8,12 +8,22 @@ map sends [0, leaf count] onto [0, source length], and realization turns
 grafting into composition, exactly.
 
 A pair of forests (T, S) with equal source and equal leaf words therefore
-realizes to a self-homeomorphism of [0, leaf count]: the T-realization
+realizes to a self-homeomorphism of [0, source length]: the T-realization
 composed with the inverse of the S-realization.  Ordering such maps by their
 first deviation from the diagonal gives a bi-order on the group of pairs:
 the positive maps are closed under composition and under conjugation, since
 conjugation by an orientation-preserving homeomorphism moves the deviation
 point but not the side of the diagonal.
+
+The order needs only that first deviation, and `realization_sign` reads it
+off the forests without building a map.  The breakpoints of the pair map
+sit at the leaf ends of the two subdivisions, and the leaf intervals of T
+and S end at the same points up to the first node (left to right) that is
+expanded in one forest only.  There the forest with the leaf ends its next
+interval later, so the pair is positive iff that forest is T.
+`realize_pair`, `pl_compose` and `pl_sign` build the exact map; they serve
+the `realize` command and are the reference the direct sign is tested
+against.
 
 All breakpoints are exact rationals; there are no tolerances anywhere in
 this module.
@@ -163,15 +173,19 @@ def realize_forest(forest: ExpansionForest) -> PLMap:
     return PLMap.from_points(points)
 
 
-def realize_pair(t: ExpansionForest, s: ExpansionForest) -> PLMap:
-    """Self-homeomorphism of [0, leaf count] realizing the fraction with
-    numerator forest t and denominator forest s."""
+def _check_pair(t: ExpansionForest, s: ExpansionForest) -> None:
     if t.source != s.source:
         raise SourceMismatchError(f"sources differ: {t.source} vs {s.source}")
     if t.leaves() != s.leaves():
         raise SourceMismatchError(
             f"leaf words differ: {t.leaves()} vs {s.leaves()}"
         )
+
+
+def realize_pair(t: ExpansionForest, s: ExpansionForest) -> PLMap:
+    """Self-homeomorphism of [0, source length] realizing the fraction with
+    numerator forest t and denominator forest s."""
+    _check_pair(t, s)
     return pl_compose(realize_forest(t), realize_forest(s).inverse())
 
 
@@ -183,4 +197,21 @@ def pl_sign(f: PLMap) -> Sign:
     for x, y in f.breakpoints:
         if y != x:
             return Sign.POSITIVE if y > x else Sign.NEGATIVE
+    return Sign.ZERO
+
+
+def realization_sign(t: ExpansionForest, s: ExpansionForest) -> Sign:
+    """pl_sign(realize_pair(t, s)) without building the map: walk both
+    forests left to right to the first node expanded in one of them only;
+    the pair is positive iff t has the leaf there."""
+    _check_pair(t, s)
+    stack = list(zip(reversed(t.trees), reversed(s.trees)))
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.children and b.children:
+            stack.extend(zip(reversed(a.children), reversed(b.children)))
+        elif a.children or b.children:
+            return Sign.NEGATIVE if a.children else Sign.POSITIVE
     return Sign.ZERO

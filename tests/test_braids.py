@@ -239,7 +239,8 @@ def test_act_bottom_identity_forest(thompson2):
     g = DigitalBraid(("x", "x"), ("x", "x"), BraidWord(2, (1, 1)))
     b = ExpansionForest.identity(thompson2, ("x", "x"))
     bup, gb = act_bottom(g, b)
-    assert gb.word == g.word and bup.is_identity()
+    assert gb.word == g.word
+    assert bup == ExpansionForest.identity(thompson2, ("x", "x"))
 
 
 def test_act_bottom_source_mismatch(thompson2):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from braidfrac.cli import main
@@ -252,3 +255,39 @@ def test_missing_base_errors(tmp_path, capsys):
 def test_missing_file_errors(capsys):
     code, _, err = run(capsys, "sign", "--drs", "/nonexistent.drs", "frac T=[] B=[] S=[]")
     assert code == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(section: str, fence: str) -> list[str]:
+    """Lines of the first `fence` code block under the README heading
+    `section`."""
+    text = README.read_text(encoding="utf-8")
+    body = text[text.index(f"\n## {section}\n"):]
+    start = body.index(f"```{fence}\n") + len(fence) + 4
+    return body[start:body.index("```", start)].splitlines()
+
+
+def test_readme_command_examples(capsys):
+    block = "\n".join(_readme_block("Command line", "sh"))
+    lines = block.replace("\\\n", " ").splitlines()  # join continued lines
+    examples = [
+        (shlex.split(line)[1:], lines[i + 1].removeprefix("# "))
+        for i, line in enumerate(lines)
+        if line.startswith("braidfrac ")
+    ]
+    assert len(examples) == 5
+    for argv, expected in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] == "axioms":
+            out, expected = out.split("time_ms=")[0], expected.split("time_ms=")[0]
+        assert out == expected, argv
+
+
+def test_readme_library_example(capsys):
+    lines = _readme_block("Library overview", "python")
+    expected = [line.split("# ")[1] for line in lines if line.startswith("print(")]
+    exec("\n".join(lines), {})
+    assert capsys.readouterr().out.splitlines() == expected
