@@ -23,13 +23,20 @@ by the strands; a braid is trivial iff it fixes the initial coordinates.
 It always terminates in one pass over the word, so it decides identity and
 takes no budget.  The two routes are kept separate so that tests can play
 them against each other.
+
+Validation happens at the trust boundary: ``BraidWord(...)`` checks its
+generator indices and ``DigitalBraid(...)`` its labels against the strand
+permutation, and `BraidWord.parse` goes through the former.  Inverses,
+products, `handle_reduce` results, composites and both outputs of
+`act_bottom` are derived from values already checked and are built without
+re-validation (`drs._unchecked`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drs import ExpansionForest, SourceMismatchError, Word
+from .drs import ExpansionForest, SourceMismatchError, Word, _unchecked
 from .ordering import Sign
 
 DEFAULT_STEP_BUDGET = 10**6
@@ -72,12 +79,16 @@ class BraidWord:
                 )
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-d for d in reversed(self.letters)))
+        return _unchecked(
+            BraidWord, self.strands, tuple(-d for d in reversed(self.letters))
+        )
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise BraidError("strand count mismatch")
-        return BraidWord(self.strands, free_reduce(self.letters + other.letters))
+        return _unchecked(
+            BraidWord, self.strands, free_reduce(self.letters + other.letters)
+        )
 
     def permutation(self) -> tuple[int, ...]:
         """images[i-1] = bottom position reached by the strand starting at
@@ -140,7 +151,7 @@ def handle_reduce(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> BraidWord:
     while True:
         h = _find_handle(ls, start, w.strands)
         if h is None:
-            return BraidWord(w.strands, tuple(ls))
+            return _unchecked(BraidWord, w.strands, tuple(ls))
         steps += 1
         if steps > budget:
             raise StepBudgetExceeded(
@@ -270,10 +281,12 @@ class DigitalBraid:
             raise LabelMismatchError(
                 f"bottom {self.bottom} does not match top {other.top}"
             )
-        return DigitalBraid(self.top, other.bottom, self.word * other.word)
+        return _unchecked(
+            DigitalBraid, self.top, other.bottom, self.word * other.word
+        )
 
     def invert(self) -> "DigitalBraid":
-        return DigitalBraid(self.bottom, self.top, self.word.inverse())
+        return _unchecked(DigitalBraid, self.bottom, self.top, self.word.inverse())
 
     def is_pure(self) -> bool:
         n = self.word.strands
@@ -312,7 +325,9 @@ def act_bottom(
     perm = g.word.permutation()
     # widths[i] = cable width of the strand with top position i+1
     widths = [b.trees[perm[i] - 1].leaf_count for i in range(n)]
-    bup = ExpansionForest(b.drs, tuple(b.trees[perm[i] - 1] for i in range(n)))
+    bup = _unchecked(
+        ExpansionForest, b.drs, tuple(b.trees[perm[i] - 1] for i in range(n))
+    )
     arr = list(range(n))  # strand ids (0-based top positions) by position
     letters: list[int] = []
     for d in g.word.letters:
@@ -322,7 +337,10 @@ def act_bottom(
         letters.extend(_block_letters(offset, widths[u], widths[v], d))
         arr[k - 1], arr[k] = v, u
     total = sum(widths)
-    gb = DigitalBraid(
-        bup.leaves(), b.leaves(), BraidWord(max(total, 1), free_reduce(tuple(letters)))
+    gb = _unchecked(
+        DigitalBraid,
+        bup.leaves(),
+        b.leaves(),
+        _unchecked(BraidWord, max(total, 1), free_reduce(tuple(letters))),
     )
     return bup, gb

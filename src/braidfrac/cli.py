@@ -321,7 +321,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run a verification suite")
     _add_common(p)
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=6)
     p.add_argument("--max-braid-letters", type=int, default=12)

@@ -20,6 +20,17 @@ form groups of fractions further up the stack.
 Positions in step sequences are 1-based: ``[2, 1]`` means "expand the letter
 at position 2 of the source word, then the letter at position 1 of the
 resulting word".
+
+Validation happens at the trust boundary: the public constructors
+(``ExpansionForest(...)`` here, ``BraidWord``, ``DigitalBraid`` and
+``FractionElement`` further up) and the parsers, which all go through them,
+check every value handed in.  The library's own operations (``identity``,
+`graft`, `complement`, `forest_join`, `expand_at`, and their counterparts in
+``braids`` and ``fraction``) build their results from values already
+checked, by rules that keep them valid, so they skip re-validation through
+`_unchecked`.  The one mix their inputs cannot rule out, forests of two
+different rewriting systems, is refused by a cheap `SystemMismatchError`
+guard.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 Word = tuple[str, ...]
 
@@ -48,6 +59,23 @@ class SourceMismatchError(DrsError):
 
 class NotAnUpperBoundError(DrsError):
     """Complement requested into a forest that is not an upper bound."""
+
+
+class SystemMismatchError(DrsError):
+    """Forests of different rewriting systems were combined."""
+
+
+_T = TypeVar("_T")
+
+
+def _unchecked(cls: type[_T], *values: object) -> _T:
+    """An instance of the dataclass `cls` with the given field values, in
+    field order, built without running its `__init__` and so without its
+    `__post_init__` validation.  Only for values derived by the library's
+    own operations from values that were already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -114,18 +142,19 @@ class ExpansionTree:
     label: str
     children: tuple["ExpansionTree", ...] = ()
 
-    @cached_property
+    @property
     def leaf_count(self) -> int:
+        """Number of leaves; stored on first read for internal nodes (a
+        plain dict entry, which `functools.cached_property` would guard
+        with a lock on Python < 3.12)."""
         if not self.children:
             return 1
-        return sum(c.leaf_count for c in self.children)
-
-    def leaf_labels(self) -> Iterator[str]:
-        if not self.children:
-            yield self.label
-        else:
-            for c in self.children:
-                yield from c.leaf_labels()
+        n = self.__dict__.get("_leaf_count")
+        if n is None:
+            n = self.__dict__["_leaf_count"] = sum(
+                c.leaf_count for c in self.children
+            )
+        return n
 
 
 def _check_tree(drs: DigitRewritingSystem, tree: ExpansionTree) -> None:
@@ -149,6 +178,7 @@ class ExpansionForest:
     trees: tuple[ExpansionTree, ...]
 
     def __post_init__(self) -> None:
+        self.drs.check_word(self.source)
         for t in self.trees:
             _check_tree(self.drs, t)
 
@@ -158,8 +188,13 @@ class ExpansionForest:
 
     def leaves(self) -> Word:
         out: list[str] = []
-        for t in self.trees:
-            out.extend(t.leaf_labels())
+        stack = list(reversed(self.trees))
+        while stack:
+            t = stack.pop()
+            if t.children:
+                stack.extend(reversed(t.children))
+            else:
+                out.append(t.label)
         return tuple(out)
 
     def leaf_count(self) -> int:
@@ -168,7 +203,14 @@ class ExpansionForest:
     @classmethod
     def identity(cls, drs: DigitRewritingSystem, word: Word) -> "ExpansionForest":
         drs.check_word(word)
-        return cls(drs, tuple(ExpansionTree(a) for a in word))
+        return _unchecked(cls, drs, tuple(ExpansionTree(a) for a in word))
+
+
+def _check_same_system(a: ExpansionForest, b: ExpansionForest) -> None:
+    if a.drs is not b.drs and a.drs != b.drs:
+        raise SystemMismatchError(
+            "forests belong to different rewriting systems"
+        )
 
 
 def _graft_tree(tree: ExpansionTree, it: Iterator[ExpansionTree]) -> ExpansionTree:
@@ -180,12 +222,15 @@ def _graft_tree(tree: ExpansionTree, it: Iterator[ExpansionTree]) -> ExpansionTr
 def graft(first: ExpansionForest, second: ExpansionForest) -> ExpansionForest:
     """Compose expansions: replace the i-th leaf of `first` by the i-th tree
     of `second`."""
+    _check_same_system(first, second)
     if first.leaves() != second.source:
         raise SourceMismatchError(
             f"leaves {first.leaves()} do not match source {second.source}"
         )
     it = iter(second.trees)
-    return ExpansionForest(first.drs, tuple(_graft_tree(t, it) for t in first.trees))
+    return _unchecked(
+        ExpansionForest, first.drs, tuple(_graft_tree(t, it) for t in first.trees)
+    )
 
 
 def _union_tree(a: ExpansionTree, b: ExpansionTree) -> ExpansionTree:
@@ -215,6 +260,7 @@ def _complement_tree(
 def complement(sub: ExpansionForest, full: ExpansionForest) -> ExpansionForest:
     """The forest C with graft(sub, C) = full; errors if sub is not below
     full."""
+    _check_same_system(sub, full)
     if sub.source != full.source:
         raise SourceMismatchError(
             f"sources differ: {sub.source} vs {full.source}"
@@ -222,7 +268,7 @@ def complement(sub: ExpansionForest, full: ExpansionForest) -> ExpansionForest:
     out: list[ExpansionTree] = []
     for s, f in zip(sub.trees, full.trees):
         _complement_tree(s, f, out)
-    return ExpansionForest(sub.drs, tuple(out))
+    return _unchecked(ExpansionForest, sub.drs, tuple(out))
 
 
 def forest_join(
@@ -231,10 +277,13 @@ def forest_join(
     """Least common upper bound J of two forests with the same source,
     together with the complements B, A satisfying graft(s, B) = graft(t, A)
     = J."""
+    _check_same_system(s, t)
     if s.source != t.source:
         raise SourceMismatchError(f"sources differ: {s.source} vs {t.source}")
-    j = ExpansionForest(
-        s.drs, tuple(_union_tree(x, y) for x, y in zip(s.trees, t.trees))
+    j = _unchecked(
+        ExpansionForest,
+        s.drs,
+        tuple(_union_tree(x, y) for x, y in zip(s.trees, t.trees)),
     )
     return j, complement(s, j), complement(t, j)
 
@@ -264,7 +313,7 @@ def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
             return tree
         return ExpansionTree(tree.label, tuple(rebuild(c) for c in tree.children))
 
-    return ExpansionForest(drs, tuple(rebuild(t) for t in forest.trees))
+    return _unchecked(ExpansionForest, drs, tuple(rebuild(t) for t in forest.trees))
 
 
 def forest_from_steps(

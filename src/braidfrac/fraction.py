@@ -36,6 +36,12 @@ equal forests plus a trivial braid, decided by the lamination action,
 which always terminates and so takes no budget.  Handle reduction and the
 lamination action stay independent, so tests can play the identity test
 against the sign.
+
+Validation happens at the trust boundary: ``FractionElement(...)`` checks
+sources, leaf words, the rewriting system and the flavor's braid condition,
+and `parse_element` and the CLI's expressions go through it.  Products and
+inverses are derived from checked elements by operations that keep them
+valid, so they are built without re-validation (`drs._unchecked`).
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .drs import (
     ExpansionForest,
     ExpansionTree,
     Word,
+    _unchecked,
     expand_at,
     forest_from_steps,
     forest_join,
@@ -119,6 +126,11 @@ class FractionElement:
 
     def __post_init__(self) -> None:
         base = self.context.base
+        drs = self.context.drs
+        if self.T.drs != drs or self.S.drs != drs:
+            raise FractionError(
+                "forests must belong to the context's rewriting system"
+            )
         if self.T.source != base or self.S.source != base:
             raise FractionError("forest sources must equal the base word")
         if self.g.top != self.T.leaves():
@@ -139,7 +151,8 @@ class FractionElement:
         j, b, a = forest_join(self.S, other.T)
         bup, gb = act_bottom(self.g, b)
         aup, ha = act_bottom(other.g.invert(), a)
-        return FractionElement(
+        return _unchecked(
+            FractionElement,
             self.context,
             graft(self.T, bup),
             gb.compose(ha.invert()),
@@ -147,7 +160,9 @@ class FractionElement:
         )
 
     def invert(self) -> "FractionElement":
-        return FractionElement(self.context, self.S, self.g.invert(), self.T)
+        return _unchecked(
+            FractionElement, self.context, self.S, self.g.invert(), self.T
+        )
 
     def is_identity(self, budget: int | None = None) -> bool:
         """Structurally equal forests and a trivial braid factor.

@@ -27,7 +27,7 @@ from .braids import (
     handle_reduce,
     lamination_trivial,
 )
-from .drs import ExpansionForest, enumerate_expansions, expand_at, graft
+from .drs import ExpansionForest, enumerate_expansions, expand_at, graft, steps_of
 from .fraction import (
     Flavor,
     FractionElement,
@@ -83,11 +83,25 @@ def _sample(context: GroupContext, rng: random.Random, budget: int, letters: int
 
 def _canonical_positive(context: GroupContext) -> FractionElement:
     """Small guaranteed-positive element: a single crossing (or its square,
-    in the pure flavor) between two equal adjacent leaf letters."""
+    in the pure flavor) between two equal adjacent leaf letters; in the
+    plain flavor, which has no crossings, the positive one of a pair of
+    distinct forests with equal leaves and its inverse."""
     forests = sorted(
         enumerate_expansions(context.drs, context.base, 3),
-        key=lambda f: f.leaf_count(),
+        key=lambda f: (f.leaf_count(), steps_of(f)),
     )
+    if context.flavor is Flavor.PLAIN:
+        first_with_leaves: dict[tuple[str, ...], ExpansionForest] = {}
+        for f in forests:
+            t = first_with_leaves.setdefault(f.leaves(), f)
+            if t is not f:
+                e = FractionElement(context, t, DigitalBraid.identity(f.leaves()), f)
+                return e if e.sign() is Sign.POSITIVE else e.invert()
+        # on Houghton systems equal leaf words force equal forests
+        raise HarnessError(
+            "no positive element in the plain flavor: no two distinct forests "
+            "with equal leaves within 3 expansions of the base"
+        )
     for f in forests:
         w = f.leaves()
         for k in range(1, len(w)):
@@ -151,7 +165,7 @@ def _suite_left_invariance(context, rng, budget, letters, degree_cap):
 
 def _suite_bi_invariance(context, rng, budget, letters, degree_cap):
     if context.flavor is not Flavor.PURE_BRAIDED:
-        raise HarnessError("bi_invariance runs on the pure flavor only")
+        raise HarnessError("runs on the pure flavor only")
     a = _sample(context, rng, budget, letters)
     b = _sample(context, rng, budget, letters)
     c = _sample(context, rng, budget, letters)
@@ -193,7 +207,13 @@ def _random_positive_braid(context, rng, budget, letters, degree_cap):
     return e.g
 
 
+def _require_braids(context: GroupContext) -> None:
+    if context.flavor is Flavor.PLAIN:
+        raise HarnessError("runs on the braided, pure and permutation flavors only")
+
+
 def _suite_compatibility(context, rng, budget, letters, degree_cap):
+    _require_braids(context)
     g = _random_positive_braid(context, rng, budget, letters, degree_cap)
     positions = [
         p
@@ -228,6 +248,7 @@ def _random_digital_braid(context, rng, budget, letters):
 
 
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
+    _require_braids(context)
     # g^(B1 B2) = (g^B1)^B2
     g = _random_digital_braid(context, rng, budget, letters)
     b1 = _grow_forest(context.drs, g.bottom, rng.randint(0, budget), rng)
@@ -289,7 +310,7 @@ def _suite_same_sign(context, rng, budget, letters, degree_cap):
 
 def _suite_semidirect(context, rng, budget, letters, degree_cap):
     if context.flavor is not Flavor.PURE_BRAIDED:
-        raise HarnessError("semidirect runs on the pure flavor only")
+        raise HarnessError("runs on the pure flavor only")
     e = _sample(context, rng, budget, letters)
     s = e.psi_section()
     k = e * s.invert()
@@ -360,7 +381,10 @@ def run_suite(
     start = time.monotonic()
     for i in range(trials):
         rng = _trial_rng(seed, i)
-        result = body(context, rng, budget, max_braid_letters, degree_cap)
+        try:
+            result = body(context, rng, budget, max_braid_letters, degree_cap)
+        except HarnessError as exc:
+            raise HarnessError(f"suite {name}: {exc}") from None
         if result is not None:
             failures += 1
             counterexamples.append(f"trial {i}: {result}")

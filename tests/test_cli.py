@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from braidfrac.cli import main
-from braidfrac.fraction import FractionElement
+from braidfrac.fraction import ORDERABLE_FLAVORS, FractionElement
+from braidfrac.harness import SUITE_NAMES
 
 
 def run(capsys, *argv):
@@ -213,6 +214,30 @@ def test_axioms_pure_suite(capsys):
         "3",
     )
     assert code == 0 and "failures=0" in out
+
+
+def test_axioms_trials_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--drs", "thompson:2", "--suite", "cone", "--trials", "-3"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flavor", [f.value for f in ORDERABLE_FLAVORS])
+@pytest.mark.parametrize("drs", ["thompson:2", "houghton:3"])
+def test_axioms_suite_flavor_matrix(capsys, drs, flavor):
+    # every cell runs (exit 0, or 1 on a failed trial) or the suite refuses
+    # the flavor with a message that names it; none ends in a traceback
+    for suite in SUITE_NAMES:
+        code, out, err = run(
+            capsys, "axioms", "--drs", drs, "--flavor", flavor,
+            "--suite", suite, "--trials", "2",
+        )
+        if code == 2:
+            assert err.startswith(f"error: suite {suite}: "), (suite, err)
+        else:
+            assert code in (0, 1), (suite, code, err)
+            assert out.startswith(f"suite={suite} trials=2 "), (suite, out)
 
 
 def test_drs_file_and_base_flag(tmp_path, capsys):

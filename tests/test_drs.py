@@ -9,6 +9,7 @@ from braidfrac.drs import (
     DrsError,
     DrsParseError,
     ExpansionForest,
+    ExpansionTree,
     NotAnUpperBoundError,
     RewriteRule,
     SourceMismatchError,
@@ -24,6 +25,7 @@ from braidfrac.drs import (
     parse_steps,
     steps_of,
 )
+from braidfrac.families import thompson_drs
 
 
 def test_rule_needs_length_two_rhs():
@@ -188,3 +190,30 @@ def test_forest_with_leaves_ray(houghton3):
     assert f is not None and f.leaves() == ("y1", "x", "x")
     # x cannot come before the ray letter
     assert forest_with_leaves(houghton3, ("y1",), ("x", "y1")) is None
+
+
+def _caret(label, children):
+    return ExpansionTree(label, tuple(ExpansionTree(c) for c in children))
+
+
+def test_forest_constructor_rejects_letter_without_rule(houghton3):
+    with pytest.raises(DrsError):
+        ExpansionForest(houghton3, (_caret("x", ("x", "x")),))
+
+
+def test_forest_constructor_rejects_children_off_rule(thompson2):
+    with pytest.raises(DrsError):
+        ExpansionForest(thompson2, (_caret("x", ("x", "x", "x")),))
+    ExpansionForest(thompson2, (_caret("x", ("x", "x")),))
+
+
+def test_operations_refuse_forests_of_different_systems(thompson2):
+    thompson3 = thompson_drs(3)
+    two = ExpansionForest.identity(thompson2, ("x",))
+    three = forest_from_steps(thompson3, ("x",), [1])
+    with pytest.raises(DrsError):
+        graft(two, three)
+    with pytest.raises(DrsError):
+        complement(two, three)
+    with pytest.raises(DrsError):
+        forest_join(two, three)

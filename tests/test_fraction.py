@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from braidfrac.braids import BraidWord, DigitalBraid, handle_reduce
-from braidfrac.drs import ExpansionForest, forest_from_steps
+import random
+
+from braidfrac.braids import BraidWord, DigitalBraid, act_bottom, handle_reduce
+from braidfrac.drs import (
+    ExpansionForest,
+    complement,
+    expand_at,
+    forest_from_steps,
+    forest_join,
+)
+from braidfrac.families import thompson_drs
 from braidfrac.fraction import (
     ContextMismatchError,
     Flavor,
@@ -13,6 +22,7 @@ from braidfrac.fraction import (
     FractionError,
     GroupContext,
     TorsionOrderError,
+    _grow_forest,
     format_element,
     identity_element,
     parse_element,
@@ -216,3 +226,52 @@ def test_identity_and_zero_sign_cross_oracle(thompson2, houghton3, flavor):
                 assert (e.sign() is Sign.ZERO) == ident
                 seen[ident] += 1
     assert seen[True] and seen[False]
+
+
+def _rebuilt(value):
+    """`value` rebuilt through the public constructors, which validate."""
+    if isinstance(value, tuple):
+        return tuple(_rebuilt(v) for v in value)
+    if isinstance(value, ExpansionForest):
+        return ExpansionForest(value.drs, value.trees)
+    if isinstance(value, BraidWord):
+        return BraidWord(value.strands, value.letters)
+    if isinstance(value, DigitalBraid):
+        return DigitalBraid(value.top, value.bottom, _rebuilt(value.word))
+    assert isinstance(value, FractionElement)
+    return FractionElement(
+        value.context, _rebuilt(value.T), _rebuilt(value.g), _rebuilt(value.S)
+    )
+
+
+@pytest.mark.parametrize("flavor", [f.value for f in Flavor])
+def test_operation_results_pass_public_constructors(
+    thompson2, houghton3, edge2, flavor
+):
+    # operations build their results without re-validating them; every
+    # result must still be a value the public constructors accept
+    results = []
+    for drs in (thompson2, thompson_drs(3), houghton3, edge2):
+        context = make_context(drs, flavor)
+        for seed in range(6):
+            rng = random.Random(seed)
+            a = random_element(context, 4, 2 * seed)
+            b = random_element(context, 4, 2 * seed + 1)
+            results += [a * b, a.invert(), a.invert() * b]
+            results.append(forest_join(a.S, b.T))
+            j = results[-1][0]
+            results += [complement(a.S, j), complement(b.T, j)]
+            f = _grow_forest(drs, context.base, 3, rng)
+            positions = [
+                p
+                for p, letter in enumerate(f.leaves(), start=1)
+                if drs.rule_for(letter) is not None
+            ]
+            results.append(expand_at(f, rng.choice(positions)))
+            results.append(act_bottom(a.g, _grow_forest(drs, a.g.bottom, 4, rng)))
+            results.append(
+                act_bottom(a.g.invert(), _grow_forest(drs, a.g.top, 4, rng))
+            )
+            results.append(handle_reduce((a.invert() * b).g.word))
+    for value in results:
+        assert _rebuilt(value) == value
