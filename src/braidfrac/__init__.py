@@ -5,7 +5,6 @@ from .braids import (
     DigitalBraid,
     act_bottom,
     dehornoy_sign,
-    forget_digits,
     handle_reduce,
     lamination_apply,
 )
@@ -22,7 +21,6 @@ from .drs import (
     steps_of,
 )
 from .families import (
-    bh_generator,
     bh_type1,
     bh_type2,
     edge_shift_drs,

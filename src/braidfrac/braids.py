@@ -293,10 +293,6 @@ class DigitalBraid:
         return self.word.permutation() == tuple(range(1, n + 1))
 
 
-def forget_digits(g: DigitalBraid) -> BraidWord:
-    return g.word
-
-
 def _block_letters(offset: int, p: int, q: int, sign: int) -> list[int]:
     """Crossing of a width-p cable over a width-q cable occupying positions
     offset+1 .. offset+p+q."""

@@ -120,22 +120,6 @@ def bh_type2(context: Word, i: int, braid: BraidWord) -> DigitalBraid:
     return DigitalBraid(context, context, BraidWord(n, letters))
 
 
-def bh_generator(
-    kind: str,
-    context: Word,
-    i: int,
-    braid: BraidWord | None = None,
-    x_over: bool = True,
-) -> DigitalBraid:
-    if kind == "type1":
-        return bh_type1(context, i, x_over)
-    if kind == "type2":
-        if braid is None:
-            raise DrsError("type-2 generator needs an inner braid")
-        return bh_type2(context, i, braid)
-    raise DrsError(f"unknown generator kind {kind!r}")
-
-
 def family_drs(name: str) -> DigitRewritingSystem:
     """Resolve `thompson:<n>` and `houghton:<n>` family names."""
     if name.startswith("thompson:"):

@@ -52,6 +52,7 @@ import re
 from dataclasses import dataclass
 
 from .braids import (
+    DEFAULT_STEP_BUDGET,
     BraidWord,
     DigitalBraid,
     act_bottom,
@@ -182,7 +183,7 @@ class FractionElement:
     def sign(
         self,
         degree_cap: int = DEFAULT_DEGREE_CAP,
-        budget: int | None = None,
+        budget: int = DEFAULT_STEP_BUDGET,
     ) -> Sign:
         """Sign of the element in its flavor's order.
 
@@ -210,8 +211,7 @@ class FractionElement:
             return pure_word_sign(
                 self.g.word.letters, self.g.word.strands, degree_cap
             )
-        kwargs = {} if budget is None else {"budget": budget}
-        s = dehornoy_sign(self.g.word, **kwargs)
+        s = dehornoy_sign(self.g.word, budget)
         if s is not Sign.ZERO:
             return s
         return realization_sign(self.T, self.S)
@@ -220,7 +220,7 @@ class FractionElement:
         self,
         other: "FractionElement",
         degree_cap: int = DEFAULT_DEGREE_CAP,
-        budget: int | None = None,
+        budget: int = DEFAULT_STEP_BUDGET,
     ) -> Comparison:
         diff = self.invert() * other
         s = diff.sign(degree_cap=degree_cap, budget=budget)

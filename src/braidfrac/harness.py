@@ -27,7 +27,14 @@ from .braids import (
     handle_reduce,
     lamination_trivial,
 )
-from .drs import ExpansionForest, enumerate_expansions, expand_at, graft, steps_of
+from .drs import (
+    ExpansionForest,
+    enumerate_expansions,
+    expand_at,
+    format_steps,
+    graft,
+    steps_of,
+)
 from .fraction import (
     Flavor,
     FractionElement,
@@ -184,21 +191,23 @@ def _suite_bi_invariance(context, rng, budget, letters, degree_cap):
     return None
 
 
+def _braid_sign(context: GroupContext, g: DigitalBraid, degree_cap: int) -> Sign:
+    """Magnus sign of a braid in the pure flavor, Dehornoy sign otherwise."""
+    if context.flavor is Flavor.PURE_BRAIDED:
+        return pure_word_sign(g.word.letters, g.word.strands, degree_cap)
+    return dehornoy_sign(g.word)
+
+
 def _random_positive_braid(context, rng, budget, letters, degree_cap):
     """Digital braid with positive sign (Dehornoy or Magnus per flavor)
     whose bottom word admits an expansion."""
-    pure = context.flavor is Flavor.PURE_BRAIDED
     for _ in range(40):
-        piece = _braid_piece(context, rng.randint(0, budget), letters, rng)
-        g = piece.g
+        g = _random_digital_braid(context, rng, budget, letters)
         if not any(
             context.drs.rule_for(a) is not None for a in g.bottom
         ):
             continue
-        if pure:
-            s = pure_word_sign(g.word.letters, g.word.strands, degree_cap)
-        else:
-            s = dehornoy_sign(g.word)
+        s = _braid_sign(context, g, degree_cap)
         if s is Sign.POSITIVE:
             return g
         if s is Sign.NEGATIVE:
@@ -224,11 +233,7 @@ def _suite_compatibility(context, rng, budget, letters, degree_cap):
         ExpansionForest.identity(context.drs, g.bottom), rng.choice(positions)
     )
     _, gb = act_bottom(g, b)
-    if context.flavor is Flavor.PURE_BRAIDED:
-        s = pure_word_sign(gb.word.letters, gb.word.strands, degree_cap)
-    else:
-        s = dehornoy_sign(gb.word)
-    if s is not Sign.POSITIVE:
+    if _braid_sign(context, gb, degree_cap) is not Sign.POSITIVE:
         return (
             f"cabling lost positivity: braid [{g.word.format()}] on "
             f"{' '.join(g.bottom)} cabled to [{gb.word.format()}]"
@@ -282,15 +287,9 @@ def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
     return None
 
 
-def _braid_factor_sign(e: FractionElement, degree_cap: int) -> Sign:
-    if e.context.flavor is Flavor.PURE_BRAIDED:
-        return pure_word_sign(e.g.word.letters, e.g.word.strands, degree_cap)
-    return dehornoy_sign(e.g.word)
-
-
 def _suite_same_sign(context, rng, budget, letters, degree_cap):
     e = _sample(context, rng, budget, letters)
-    reference = _braid_factor_sign(e, degree_cap)
+    reference = _braid_sign(context, e.g, degree_cap)
     current = e
     for _ in range(3):
         p = _grow_forest(
@@ -300,7 +299,7 @@ def _suite_same_sign(context, rng, budget, letters, degree_cap):
         current = FractionElement(
             context, graft(current.T, bup), gp, graft(current.S, p)
         )
-        if _braid_factor_sign(current, degree_cap) is not reference:
+        if _braid_sign(context, current.g, degree_cap) is not reference:
             return (
                 f"padding changed the braid-factor sign from {reference}:\n"
                 + _describe(e, current)
@@ -340,6 +339,11 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
     else:
         return None  # no comparable pair found; vacuous trial
     m = realize_pair(t, s)
+    if m != pl_compose(realize_forest(t), realize_forest(s).inverse()):
+        return (
+            "realize_pair disagrees with the composed realizations for "
+            f"forests {format_steps(steps_of(t))} and {format_steps(steps_of(s))}"
+        )
     if (t == s) != m.is_identity():
         return (
             "realization faithfulness failed for forests with leaves "

@@ -307,8 +307,6 @@ def comb_word(letters: tuple[int, ...], n: int) -> CombedForm:
 
 
 def comb(g: DigitalBraid) -> CombedForm:
-    if not g.is_pure():
-        raise MagnusError("digital braid is not pure")
     return comb_word(g.word.letters, g.word.strands)
 
 
@@ -350,6 +348,4 @@ def pure_word_sign(
 def pure_braid_sign(
     g: DigitalBraid, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> Sign:
-    if not g.is_pure():
-        raise MagnusError("digital braid is not pure")
     return pure_word_sign(g.word.letters, g.word.strands, degree_cap)

@@ -28,11 +28,3 @@ class Comparison(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def sign_of_int(x: int) -> Sign:
-    if x > 0:
-        return Sign.POSITIVE
-    if x < 0:
-        return Sign.NEGATIVE
-    return Sign.ZERO

@@ -9,11 +9,14 @@ grafting into composition, exactly.
 
 A pair of forests (T, S) with equal source and equal leaf words therefore
 realizes to a self-homeomorphism of [0, source length]: the T-realization
-composed with the inverse of the S-realization.  Ordering such maps by their
-first deviation from the diagonal gives a bi-order on the group of pairs:
-the positive maps are closed under composition and under conjugation, since
-conjugation by an orientation-preserving homeomorphism moves the deviation
-point but not the side of the diagonal.
+composed with the inverse of the S-realization.  `realize_pair` builds it
+from matched leaf ends: the end of leaf i under S goes to the end of leaf i
+under T.  `pl_compose` builds it as that composite and is the functoriality
+reference.  Ordering such maps by their first deviation from the diagonal
+gives a bi-order on the group of pairs: the positive maps are closed under
+composition and under conjugation, since conjugation by an
+orientation-preserving homeomorphism moves the deviation point but not the
+side of the diagonal.
 
 The order needs only that first deviation, and `realization_sign` reads it
 off the forests without building a map.  The breakpoints of the pair map
@@ -21,9 +24,8 @@ sit at the leaf ends of the two subdivisions, and the leaf intervals of T
 and S end at the same points up to the first node (left to right) that is
 expanded in one forest only.  There the forest with the leaf ends its next
 interval later, so the pair is positive iff that forest is T.
-`realize_pair`, `pl_compose` and `pl_sign` build the exact map; they serve
-the `realize` command and are the reference the direct sign is tested
-against.
+`realize_pair` and `pl_sign` build the exact map; they serve the `realize`
+command and are the reference the direct sign is tested against.
 
 All breakpoints are exact rationals; there are no tolerances anywhere in
 this module.
@@ -125,18 +127,6 @@ class PLMap:
 
         return " ".join(f"({frac(x)},{frac(y)})" for x, y in self.breakpoints)
 
-    @classmethod
-    def parse_text(cls, text: str) -> "PLMap":
-        points: list[Point] = []
-        for token in text.split():
-            if not (token.startswith("(") and token.endswith(")")):
-                raise PLMapError(f"bad breakpoint token {token!r}")
-            parts = token[1:-1].split(",")
-            if len(parts) != 2:
-                raise PLMapError(f"bad breakpoint token {token!r}")
-            points.append((Fraction(parts[0]), Fraction(parts[1])))
-        return cls.from_points(points)
-
 
 def pl_compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composite x -> f(g(x))."""
@@ -152,17 +142,14 @@ def pl_compose(f: PLMap, g: PLMap) -> PLMap:
     return PLMap.from_points(points)
 
 
-def realize_forest(forest: ExpansionForest) -> PLMap:
-    """PL map [0, leaf count] -> [0, source length] by nested equal-width
-    subdivision."""
-    points: list[Point] = [(Fraction(0), Fraction(0))]
-    leaf_pos = 0
+def _leaf_ends(forest: ExpansionForest) -> list[Fraction]:
+    """Right end of each leaf interval of the equal-width subdivision of
+    [0, source length], left to right."""
+    ends: list[Fraction] = []
 
     def walk(tree, lo: Fraction, hi: Fraction) -> None:
-        nonlocal leaf_pos
         if not tree.children:
-            leaf_pos += 1
-            points.append((Fraction(leaf_pos), hi))
+            ends.append(hi)
             return
         k = len(tree.children)
         for i, child in enumerate(tree.children, start=1):
@@ -170,7 +157,13 @@ def realize_forest(forest: ExpansionForest) -> PLMap:
 
     for i, tree in enumerate(forest.trees):
         walk(tree, Fraction(i), Fraction(i + 1))
-    return PLMap.from_points(points)
+    return ends
+
+
+def realize_forest(forest: ExpansionForest) -> PLMap:
+    """PL map [0, leaf count] -> [0, source length] by nested equal-width
+    subdivision."""
+    return PLMap.from_points([(0, 0), *enumerate(_leaf_ends(forest), start=1)])
 
 
 def _check_pair(t: ExpansionForest, s: ExpansionForest) -> None:
@@ -184,9 +177,10 @@ def _check_pair(t: ExpansionForest, s: ExpansionForest) -> None:
 
 def realize_pair(t: ExpansionForest, s: ExpansionForest) -> PLMap:
     """Self-homeomorphism of [0, source length] realizing the fraction with
-    numerator forest t and denominator forest s."""
+    numerator forest t and denominator forest s: the end of leaf i under s
+    goes to the end of leaf i under t.  pl_compose is the reference."""
     _check_pair(t, s)
-    return pl_compose(realize_forest(t), realize_forest(s).inverse())
+    return PLMap.from_points([(0, 0), *zip(_leaf_ends(s), _leaf_ends(t))])
 
 
 def pl_sign(f: PLMap) -> Sign:

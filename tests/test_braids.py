@@ -17,7 +17,6 @@ from braidfrac.braids import (
     StepBudgetExceeded,
     act_bottom,
     dehornoy_sign,
-    forget_digits,
     free_reduce,
     handle_reduce,
     is_trivial_word,
@@ -219,7 +218,6 @@ def test_digital_braid_group_ops():
     g = DigitalBraid(("x", "y"), ("y", "x"), BraidWord(2, (1,)))
     assert not g.is_pure()
     assert g.compose(g.invert()).word.letters == ()
-    assert forget_digits(g).letters == (1,)
     with pytest.raises(LabelMismatchError):
         g.compose(g)  # bottom ("y","x") != top ("x","y")
     assert DigitalBraid(("x", "x"), ("x", "x"), BraidWord(2, (1, 1))).is_pure()

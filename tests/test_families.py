@@ -7,7 +7,6 @@ import pytest
 from braidfrac.braids import BraidWord
 from braidfrac.drs import DrsError, DrsParseError
 from braidfrac.families import (
-    bh_generator,
     bh_type1,
     bh_type2,
     edge_shift_drs,
@@ -99,15 +98,3 @@ def test_bh_type2():
         bh_type2(word, 1, BraidWord(2, (1,)))  # block y1 x not constant
     with pytest.raises(DrsError):
         bh_type2(word, 4, BraidWord(3, (1,)))  # block runs off the end
-
-
-def test_bh_generator_dispatch():
-    word = ("y1", "x")
-    assert bh_generator("type1", word, 1).word.letters == (-1,)
-    assert bh_generator(
-        "type2", ("x", "x"), 1, braid=BraidWord(2, (1,))
-    ).word.letters == (1,)
-    with pytest.raises(DrsError):
-        bh_generator("type2", word, 1)
-    with pytest.raises(DrsError):
-        bh_generator("type3", word, 1)

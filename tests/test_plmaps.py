@@ -68,7 +68,6 @@ def test_prune_collinear():
 
 def test_format_parse_round_trip():
     f = PLMap.from_points([(F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(1))])
-    assert PLMap.parse_text(f.format_text()) == f
     assert f.format_text() == "(0,0) (1/2,1/4) (1,1)"
 
 
@@ -111,6 +110,7 @@ def test_realization_faithful(thompson2):
             if t.leaf_count() != s.leaf_count():
                 continue
             m = realize_pair(t, s)
+            assert m == pl_compose(realize_forest(t), realize_forest(s).inverse())
             assert m.is_identity() == (t == s)
             assert realization_sign(t, s) is pl_sign(m)
 
