@@ -7,6 +7,7 @@ from .braids import (
     dehornoy_sign,
     handle_reduce,
     lamination_apply,
+    lamination_sign,
 )
 from .drs import (
     DigitRewritingSystem,

@@ -11,18 +11,19 @@ strand ending at a bottom position whose tree has k leaves is replaced by k
 parallel strands, each crossing becoming the block crossing of the two
 cables.
 
-Two independent decision procedures for the braid word problem live here,
-and each decides one question for the fraction groups.  Handle reduction
-repeatedly removes the leftmost-closing handle (a subword sigma_i^e u
-sigma_i^{-e} where u avoids generators i and i-1) and terminates in a word
-where the least occurring index shows a single sign; that sign is the
-Dehornoy sign, and the empty output characterizes the trivial braid.  It
-decides the braided sign, and its step budget bounds it.  The lamination
-action tracks integral (Dynnikov) coordinates of a curve system punctured
-by the strands; a braid is trivial iff it fixes the initial coordinates.
-It always terminates in one pass over the word, so it decides identity and
-takes no budget.  The two routes are kept separate so that tests can play
-them against each other.
+Two independent decision procedures for the braid word problem live here.
+The lamination action tracks integral (Dynnikov) coordinates of a curve
+system punctured by the strands, in one pass over the word with no budget:
+a braid is trivial iff it fixes the initial coordinates, and the first
+coordinate that moves gives the Dehornoy sign (`lamination_sign`).  It
+decides the braided sign and identity for the fraction groups.  Handle
+reduction repeatedly removes the leftmost-closing handle (a subword
+sigma_i^e u sigma_i^{-e} where u avoids generators i and i-1) and
+terminates in a word where the least occurring index shows a single sign;
+that sign is the Dehornoy sign, and the empty output characterizes the
+trivial braid.  Its step budget bounds it.  It is kept as the independent
+oracle (`dehornoy_sign`) that tests and the verification suites play
+against the lamination.
 
 Validation happens at the trust boundary: ``BraidWord(...)`` checks its
 generator indices and ``DigitalBraid(...)`` its labels against the strand
@@ -206,44 +207,68 @@ def is_trivial_word(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> bool:
 
 # --- lamination coordinates -------------------------------------------------
 
-def _pos(x: int) -> int:
-    return x if x > 0 else 0
-
-
-def _neg(x: int) -> int:
-    return x if x < 0 else 0
-
-
 def lamination_initial(n: int) -> tuple[int, ...]:
     return (0, 1) * n
 
 
-def _lamination_step(c: list[int], d: int) -> None:
-    i = abs(d)
-    a1, b1, a2, b2 = c[2 * i - 2 : 2 * i + 2]
-    if d < 0:
-        a1, a2 = -a1, -a2
-    t = a1 - a2 - _neg(b1) + _pos(b2)
-    na1 = a1 + _pos(b1) + _pos(_pos(b2) - t)
-    nb1 = b2 - _pos(t)
-    na2 = a2 + _neg(b2) + _neg(_neg(b1) + t)
-    nb2 = b1 + _pos(t)
-    if d < 0:
-        na1, na2 = -na1, -na2
-    c[2 * i - 2 : 2 * i + 2] = (na1, nb1, na2, nb2)
-
-
 def lamination_apply(w: BraidWord) -> tuple[int, ...]:
-    """Coordinates of the standard test lamination after acting by w; equal
-    to lamination_initial(w.strands) iff w is trivial."""
-    coords = list(lamination_initial(w.strands))
+    """Dynnikov coordinates (a_1, b_1, ..., a_n, b_n) of the standard test
+    lamination after acting by w, letter by letter from the left; equal to
+    lamination_initial(w.strands) iff w is trivial.
+
+    sigma_i^e changes a_i, b_i, a_{i+1}, b_{i+1} only.  With x+ = max(x, 0),
+    x- = min(x, 0) and a_i, a_{i+1} multiplied by e before and after, the
+    update is t = a_i - a_{i+1} - b_i- + b_{i+1}+ and
+    a_i' = a_i + b_i+ + (b_{i+1}+ - t)+,      b_i' = b_{i+1} - t+,
+    a_{i+1}' = a_{i+1} + b_{i+1}- + (b_i- + t)-,  b_{i+1}' = b_i + t+.
+    """
+    c = list(lamination_initial(w.strands))
     for d in w.letters:
-        _lamination_step(coords, d)
-    return tuple(coords)
+        if d > 0:
+            e, j = 1, 2 * d - 2
+        else:
+            e, j = -1, -2 * d - 2
+        a1, b1, a2, b2 = e * c[j], c[j + 1], e * c[j + 2], c[j + 3]
+        p1 = b1 if b1 > 0 else 0
+        p2 = b2 if b2 > 0 else 0
+        t = a1 - a2 - (b1 - p1) + p2
+        tp = t if t > 0 else 0
+        x = p2 - t
+        y = b1 - p1 + t
+        c[j] = e * (a1 + p1 + (x if x > 0 else 0))
+        c[j + 1] = b2 - tp
+        c[j + 2] = e * (a2 + b2 - p2 + (y if y < 0 else 0))
+        c[j + 3] = b1 + tp
+    return tuple(c)
 
 
 def lamination_trivial(w: BraidWord) -> bool:
     return lamination_apply(w) == lamination_initial(w.strands)
+
+
+def lamination_sign(w: BraidWord) -> Sign:
+    """Dehornoy sign of w read off its Dynnikov coordinates in one pass.
+
+    Dynnikov's criterion (I. Dynnikov, "On a Yang-Baxter map and the
+    Dehornoy ordering", Russ. Math. Surveys 57 (2002); P. Dehornoy,
+    I. Dynnikov, D. Rolfsen, B. Wiest, *Ordering Braids*, AMS 2008, the
+    chapter on triangulations; P. Dehornoy, "Efficient solutions to the
+    braid isotopy problem", Discrete Appl. Math. 156 (2008)): write
+    (a_1, b_1, ..., a_n, b_n) = (0, 1, ..., 0, 1) . w for the right action
+    above.  Then w is sigma-positive iff the first nonzero entry of
+    (a_1, b_1 - 1, ..., a_n, b_n - 1) is positive, sigma-negative iff it is
+    negative, and trivial iff there is none.  That sequence is the
+    coordinate-wise difference from `lamination_initial`, so the first
+    coordinate that differs decides, larger meaning positive.  The
+    convention (letters act left to right, sigma_i with the strand at
+    position i passing over, positive meaning the least index occurs only
+    positively) is the one `dehornoy_sign` decides, and the two are tested
+    against each other.  No budget: the pass always terminates.
+    """
+    for x, x0 in zip(lamination_apply(w), lamination_initial(w.strands)):
+        if x != x0:
+            return Sign.POSITIVE if x > x0 else Sign.NEGATIVE
+    return Sign.ZERO
 
 
 # --- digital braids ---------------------------------------------------------
@@ -318,25 +343,32 @@ def act_bottom(
     n = len(g.top)
     if n == 0:
         return b, g
+    if not g.word.letters:
+        leaves = b.leaves()
+        word = _unchecked(BraidWord, max(len(leaves), 1), ())
+        return b, _unchecked(DigitalBraid, leaves, leaves, word)
     perm = g.word.permutation()
-    # widths[i] = cable width of the strand with top position i+1
-    widths = [b.trees[perm[i] - 1].leaf_count for i in range(n)]
     bup = _unchecked(
         ExpansionForest, b.drs, tuple(b.trees[perm[i] - 1] for i in range(n))
     )
-    arr = list(range(n))  # strand ids (0-based top positions) by position
+    # width[p] = width of the cable now at position p+1, start[p] = number
+    # of strands left of it; swapping positions k, k+1 moves only start[k]
+    width = [t.leaf_count for t in bup.trees]
+    start = [0] * n
+    for p in range(1, n):
+        start[p] = start[p - 1] + width[p - 1]
     letters: list[int] = []
     for d in g.word.letters:
         k = abs(d)
-        u, v = arr[k - 1], arr[k]
-        offset = sum(widths[s] for s in arr[: k - 1])
-        letters.extend(_block_letters(offset, widths[u], widths[v], d))
-        arr[k - 1], arr[k] = v, u
-    total = sum(widths)
+        u, v = width[k - 1], width[k]
+        offset = start[k - 1]
+        letters.extend(_block_letters(offset, u, v, d))
+        width[k - 1], width[k] = v, u
+        start[k] = offset + v
     gb = _unchecked(
         DigitalBraid,
         bup.leaves(),
         b.leaves(),
-        _unchecked(BraidWord, max(total, 1), free_reduce(tuple(letters))),
+        _unchecked(BraidWord, max(sum(width), 1), free_reduce(tuple(letters))),
     )
     return bup, gb

@@ -6,8 +6,10 @@ plain element; ``axioms`` runs a randomized verification suite and exits
 nonzero on any failure.
 
 Exit codes: 0 on success, 1 when an ``axioms`` suite has failures, 2 on
-bad input, and 3 when an order query is undecided within its limits (the
-handle-reduction step budget or the Magnus degree cap).
+bad input, and 3 when a query is undecided within its limits: the Magnus
+degree cap of the pure sign, or the step budget of handle reduction, which
+the ``axioms`` suites run as the oracle for the braided sign.  The braided
+sign itself is read off the lamination and always terminates.
 
 Element expressions combine atoms with ``*`` and ``inv(...)``.  Atoms are
 fraction literals ``frac T=[steps] B=[braid word] S=[steps]`` or braided
@@ -257,16 +259,23 @@ def _cmd_axioms(args) -> int:
     return 0 if report.passed else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -277,7 +286,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=[f.value for f in Flavor],
     )
     parser.add_argument("--base", help="base word (space-separated letters)")
-    parser.add_argument("--degree-cap", type=_positive_int, default=16)
+    parser.add_argument("--degree-cap", type=_int_at_least(1), default=16)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -321,9 +330,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run a verification suite")
     _add_common(p)
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--trials", type=_positive_int, default=200)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=6)
+    p.add_argument("--budget", type=_int_at_least(0), default=6)
     p.add_argument("--max-braid-letters", type=int, default=12)
     p.set_defaults(func=_cmd_axioms)
 

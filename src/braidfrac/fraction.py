@@ -14,13 +14,15 @@ the permutation (such groups contain torsion, so order queries are refused),
 and Plain forces the braid to be trivial.
 
 The left order on the Braided flavor is braid-first: an element is positive
-when its braid factor handle-reduces to a positive word, with ties (trivial
-braid factor) broken by the first-deviation sign of the PL realization of
-the forest pair.  Triviality of the braid factor does not depend on the
-chosen representative, so the case split is well defined.  One handle
-reduction decides both the sign and the tie, and the step `budget` bounds
-that reduction only.  The PL sign, here and below, is read straight off
-the two forests by `plmaps.realization_sign`; no map is built.
+when its braid factor is Dehornoy-positive, with ties (trivial braid factor)
+broken by the first-deviation sign of the PL realization of the forest
+pair.  Triviality of the braid factor does not depend on the chosen
+representative, so the case split is well defined.  One pass of the
+lamination action (`braids.lamination_sign`, Dynnikov's criterion) decides
+both the sign and the tie; it always terminates, so the step `budget` that
+bounds handle reduction is not used here.  The PL sign, here and below, is
+read straight off the two forests by `plmaps.realization_sign`; no map is
+built.
 
 The bi-order on the PureBraided flavor is quotient-first: the group splits
 as a semidirect product of the kernel of the braid-forgetting projection by
@@ -33,9 +35,9 @@ factor when the forests agree; that sign is bounded by `degree_cap` alone.
 
 The identity test needs no canonical form in any flavor: structurally
 equal forests plus a trivial braid, decided by the lamination action,
-which always terminates and so takes no budget.  Handle reduction and the
-lamination action stay independent, so tests can play the identity test
-against the sign.
+which always terminates and so takes no budget.  Handle reduction
+(`braids.dehornoy_sign`, bounded by its step budget) stays off the order
+path as the independent oracle the tests and suites play against it.
 
 Validation happens at the trust boundary: ``FractionElement(...)`` checks
 sources, leaf words, the rewriting system and the flavor's braid condition,
@@ -56,8 +58,8 @@ from .braids import (
     BraidWord,
     DigitalBraid,
     act_bottom,
-    dehornoy_sign,
     free_reduce,
+    lamination_sign,
     lamination_trivial,
 )
 from .drs import (
@@ -187,13 +189,14 @@ class FractionElement:
     ) -> Sign:
         """Sign of the element in its flavor's order.
 
-        Braided: the Dehornoy sign of the braid factor from one handle
-        reduction, bounded by `budget` rewrites (StepBudgetExceeded), and
-        the PL sign of the forest pair when the braid is trivial.  Pure:
-        the PL sign first, then the Magnus sign of the braid factor,
-        bounded by `degree_cap` (DegreeCapExceeded); `budget` is unused.
-        Plain: the PL sign.  The PL sign is `realization_sign(T, S)`, read
-        off the two forests without building the PL map.
+        Braided: the Dehornoy sign of the braid factor, read off its
+        Dynnikov coordinates in one pass (`lamination_sign`), and the PL
+        sign of the forest pair when the braid is trivial.  Pure: the PL
+        sign first, then the Magnus sign of the braid factor, bounded by
+        `degree_cap` (DegreeCapExceeded).  Plain: the PL sign.  The PL sign
+        is `realization_sign(T, S)`, read off the two forests without
+        building the PL map.  `budget`, the handle-reduction step budget,
+        is accepted and ignored: no flavor's sign runs handle reduction.
         """
         flavor = self.context.flavor
         if flavor not in ORDERABLE_FLAVORS:
@@ -211,7 +214,7 @@ class FractionElement:
             return pure_word_sign(
                 self.g.word.letters, self.g.word.strands, degree_cap
             )
-        s = dehornoy_sign(self.g.word, budget)
+        s = lamination_sign(self.g.word)
         if s is not Sign.ZERO:
             return s
         return realization_sign(self.T, self.S)
@@ -222,6 +225,9 @@ class FractionElement:
         degree_cap: int = DEFAULT_DEGREE_CAP,
         budget: int = DEFAULT_STEP_BUDGET,
     ) -> Comparison:
+        """LESS when self < other, that is, when self^-1 * other is
+        positive.  `degree_cap` bounds the pure sign; `budget` is ignored,
+        as in `sign`."""
         diff = self.invert() * other
         s = diff.sign(degree_cap=degree_cap, budget=budget)
         if s is Sign.ZERO:
@@ -399,12 +405,13 @@ def _steer_to_target(
     return letters
 
 
-def _braid_piece(
-    context: GroupContext, steps: int, max_letters: int, rng: random.Random
-) -> FractionElement:
-    f = _grow_forest(context.drs, context.base, steps, rng)
-    w = f.leaves()
-    n = len(w)
+def _random_braid(
+    word: Word, max_letters: int, rng: random.Random, pure: bool
+) -> DigitalBraid:
+    """Random digital braid from `word` to itself: up to `max_letters`
+    random crossings, then adjacent swaps onto a random label-preserving
+    arrangement (the identity arrangement if `pure`)."""
+    n = len(word)
     letters: list[int] = []
     if n >= 2 and max_letters > 0:
         for _ in range(rng.randint(0, max_letters)):
@@ -413,13 +420,21 @@ def _braid_piece(
     for d in letters:
         k = abs(d)
         arr[k - 1], arr[k] = arr[k], arr[k - 1]
-    pure = context.flavor is Flavor.PURE_BRAIDED
-    target = _label_preserving_target(w, rng, pure)
+    target = _label_preserving_target(word, rng, pure)
     letters.extend(_steer_to_target(arr, target, rng))
-    braid = DigitalBraid(
-        w, w, BraidWord(max(n, 1), free_reduce(tuple(letters)))
+    return DigitalBraid(
+        word, word, BraidWord(max(n, 1), free_reduce(tuple(letters)))
     )
-    return FractionElement(context, f, braid, f)
+
+
+def _braid_piece(
+    context: GroupContext, steps: int, max_letters: int, rng: random.Random
+) -> FractionElement:
+    f = _grow_forest(context.drs, context.base, steps, rng)
+    pure = context.flavor is Flavor.PURE_BRAIDED
+    return FractionElement(
+        context, f, _random_braid(f.leaves(), max_letters, rng, pure), f
+    )
 
 
 def _plain_piece(

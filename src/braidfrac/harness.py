@@ -25,6 +25,7 @@ from .braids import (
     act_bottom,
     dehornoy_sign,
     handle_reduce,
+    lamination_sign,
     lamination_trivial,
 )
 from .drs import (
@@ -41,6 +42,7 @@ from .fraction import (
     GroupContext,
     _braid_piece,
     _grow_forest,
+    _random_braid,
     format_element,
     random_element,
 )
@@ -145,7 +147,8 @@ def _describe(*elements: FractionElement) -> str:
 def _suite_cone(context, rng, budget, letters, degree_cap):
     u = _positive_element(context, rng, budget, letters, degree_cap)
     v = _positive_element(context, rng, budget, letters, degree_cap)
-    if (u * v).sign(degree_cap=degree_cap) is not Sign.POSITIVE:
+    uv = u * v
+    if uv.sign(degree_cap=degree_cap) is not Sign.POSITIVE:
         return "product of positives not positive:\n" + _describe(u, v)
     e = _sample(context, rng, budget, letters)
     s = e.sign(degree_cap=degree_cap)
@@ -153,6 +156,15 @@ def _suite_cone(context, rng, budget, letters, degree_cap):
         return "sign zero disagrees with identity test:\n" + _describe(e)
     if e.invert().sign(degree_cap=degree_cap) is not -s:
         return "sign not antisymmetric under inversion:\n" + _describe(e)
+    if context.flavor is Flavor.BRAIDED:
+        # the order reads the braid sign off the lamination, and so does
+        # the identity test; handle reduction is the independent check
+        for x in (u, v, uv, e):
+            if lamination_sign(x.g.word) is not dehornoy_sign(x.g.word):
+                return (
+                    "lamination sign disagrees with handle reduction:\n"
+                    + _describe(x)
+                )
     return None
 
 
@@ -267,13 +279,11 @@ def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
             f"[{g.word.format()}] with forests to {b1.leaves()} and "
             f"{b2.leaves()}"
         )
-    # (g1 g2)^B = g1^(g2 B) g2^B
+    # (g1 g2)^B = g1^(g2 B) g2^B, with g2 drawn on g1's bottom word
     g1 = _random_digital_braid(context, rng, budget, letters)
-    g2 = _random_digital_braid(context, rng, budget, letters)
-    if g1.bottom != g2.top:
-        # braid pieces are loops on their own words; retarget g2 onto g1's
-        # bottom when the words differ
-        g2 = DigitalBraid.identity(g1.bottom)
+    g2 = _random_braid(
+        g1.bottom, letters, rng, context.flavor is Flavor.PURE_BRAIDED
+    )
     composite = g1.compose(g2)
     b = _grow_forest(context.drs, g2.bottom, rng.randint(0, budget), rng)
     _, both = act_bottom(composite, b)
@@ -331,9 +341,12 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
             "realization not functorial on forests with targets "
             f"{f.leaves()} and {g.leaves()}"
         )
-    t = _grow_forest(context.drs, context.base, rng.randint(1, budget), rng)
+    # at least one step, budget permitting: at budget 0 both forests are
+    # the base word
+    least = min(1, budget)
+    t = _grow_forest(context.drs, context.base, rng.randint(least, budget), rng)
     for _ in range(32):
-        s = _grow_forest(context.drs, context.base, rng.randint(1, budget), rng)
+        s = _grow_forest(context.drs, context.base, rng.randint(least, budget), rng)
         if s.leaves() == t.leaves():
             break
     else:
@@ -379,6 +392,8 @@ def run_suite(
 ) -> Report:
     if name not in _SUITES:
         raise HarnessError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if budget < 0:
+        raise HarnessError(f"budget must be >= 0, got {budget}")
     body = _SUITES[name]
     failures = 0
     counterexamples: list[str] = []

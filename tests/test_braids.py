@@ -1,7 +1,8 @@
-"""Braid words, handle reduction, the lamination oracle and digital braids.
+"""Braid words, handle reduction, the lamination action and digital braids.
 
-The word problem is always checked through both routes — handle reduction
-and the integral lamination action — which are independent algorithms.
+The word problem and the Dehornoy sign are always checked through both
+routes — handle reduction and the integral lamination action — which are
+independent algorithms.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from braidfrac.braids import (
     DigitalBraid,
     LabelMismatchError,
     StepBudgetExceeded,
+    _block_letters,
     act_bottom,
     dehornoy_sign,
     free_reduce,
@@ -22,9 +24,12 @@ from braidfrac.braids import (
     is_trivial_word,
     lamination_apply,
     lamination_initial,
+    lamination_sign,
     lamination_trivial,
 )
 from braidfrac.drs import ExpansionForest, SourceMismatchError, expand_at
+from braidfrac.families import edge_shift_drs, houghton_drs, thompson_drs
+from braidfrac.fraction import Flavor, GroupContext, random_element
 from braidfrac.ordering import Sign
 
 
@@ -275,3 +280,162 @@ def test_act_bottom_respects_composition(thompson2):
         diff = both.word * gb.compose(hb).word.inverse()
         assert not handle_reduce(diff).letters
         assert lamination_trivial(diff)
+
+
+# --- the lamination sign and the rewritten kernels ----------------------------
+
+def _sign_corpus():
+    """Seeded (kind, word) pairs: random words on 2-12 strands, commutators
+    u v u^-1 v^-1, conjugates u s u^-1 of a generator s, trivial words
+    u v v^-1 u^-1, cabled differences g h^-1, and the braid factors of
+    compare differences a^-1 b of random braided elements."""
+    rng = random.Random(7)
+
+    def word(n, length):
+        return tuple(
+            rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(length)
+        )
+
+    def inv(u):
+        return tuple(-d for d in reversed(u))
+
+    for _ in range(30_000):
+        n = rng.randint(2, 12)
+        yield "random", BraidWord(n, word(n, rng.randint(0, 60)))
+    for _ in range(7_000):
+        n = rng.randint(2, 8)
+        u, v = word(n, rng.randint(1, 10)), word(n, rng.randint(1, 10))
+        yield "commutator", BraidWord(n, u + v + inv(u) + inv(v))
+    for _ in range(6_000):
+        n = rng.randint(2, 8)
+        u = word(n, rng.randint(0, 12))
+        yield "conjugate", BraidWord(n, u + word(n, 1) + inv(u))
+    for _ in range(4_000):
+        n = rng.randint(2, 8)
+        u, v = word(n, rng.randint(0, 10)), word(n, rng.randint(0, 10))
+        yield "trivial", BraidWord(n, u + v + inv(v) + inv(u))
+    thompson2 = thompson_drs(2)
+    for _ in range(2_400):
+        n = rng.randint(2, 5)
+        labels = ("x",) * n
+        g, h = (
+            DigitalBraid(labels, labels, BraidWord(n, word(n, rng.randint(1, 8))))
+            for _ in range(2)
+        )
+        b = ExpansionForest.identity(thompson2, labels)
+        for _ in range(rng.randint(1, 3)):
+            b = expand_at(b, rng.randint(1, len(b.leaves())))
+        yield "cabled", act_bottom(g, b)[1].word * act_bottom(h, b)[1].word.inverse()
+    edge2 = edge_shift_drs([("a", ["a", "b"]), ("b", ["b", "a"])], base=("a",))
+    for drs in (thompson2, houghton_drs(3), edge2):
+        ctx = GroupContext(drs, drs.base, Flavor.BRAIDED)
+        for i in range(200):
+            a = random_element(ctx, 5, 2 * i, max_braid_letters=10)
+            b = random_element(ctx, 5, 2 * i + 1, max_braid_letters=10)
+            yield "compare", (a.invert() * b).g.word
+
+
+def test_lamination_sign_matches_handle_reduction():
+    """Dynnikov's criterion agrees with handle reduction on every word."""
+    counts: dict[tuple[str, Sign], int] = {}
+    disagreements = []
+    for kind, w in _sign_corpus():
+        s = lamination_sign(w)
+        if s is not dehornoy_sign(w):
+            disagreements.append((kind, w))
+        counts[kind, s] = counts.get((kind, s), 0) + 1
+    assert not disagreements, disagreements[:3]
+    assert sum(counts.values()) >= 50_000
+    assert {k for k, s in counts if s is Sign.ZERO} >= {"random", "trivial"}
+    assert not any(counts.get(("trivial", s)) for s in (Sign.POSITIVE, Sign.NEGATIVE))
+    for kind in ("random", "commutator", "conjugate", "cabled", "compare"):
+        assert counts[kind, Sign.POSITIVE] and counts[kind, Sign.NEGATIVE], kind
+
+
+def test_lamination_sign_named_values():
+    assert lamination_sign(BraidWord(3, ())) is Sign.ZERO
+    assert lamination_sign(BraidWord(3, (2,))) is Sign.POSITIVE
+    assert lamination_sign(BraidWord(3, (-1, 2))) is Sign.NEGATIVE
+    # sigma_2 sigma_1^-1: the least index occurs only negatively
+    assert lamination_sign(BraidWord(3, (2, -1))) is Sign.NEGATIVE
+    assert lamination_sign(BraidWord(3, (1, 2, -1, -2))) is Sign.POSITIVE
+
+
+def _reference_lamination_apply(w: BraidWord) -> tuple[int, ...]:
+    """The slice-based kernel: each letter rewrites one 4-coordinate window
+    through max(x, 0) and min(x, 0) helpers, negating a_i and a_{i+1}
+    around the positive formula for an inverse letter."""
+
+    def pos(x):
+        return x if x > 0 else 0
+
+    def neg(x):
+        return x if x < 0 else 0
+
+    c = list(lamination_initial(w.strands))
+    for d in w.letters:
+        i = abs(d)
+        a1, b1, a2, b2 = c[2 * i - 2 : 2 * i + 2]
+        if d < 0:
+            a1, a2 = -a1, -a2
+        t = a1 - a2 - neg(b1) + pos(b2)
+        na1 = a1 + pos(b1) + pos(pos(b2) - t)
+        nb1 = b2 - pos(t)
+        na2 = a2 + neg(b2) + neg(neg(b1) + t)
+        nb2 = b1 + pos(t)
+        if d < 0:
+            na1, na2 = -na1, -na2
+        c[2 * i - 2 : 2 * i + 2] = (na1, nb1, na2, nb2)
+    return tuple(c)
+
+
+def test_lamination_apply_matches_reference(thompson2):
+    words = [BraidWord(n, ()) for n in range(1, 6)]
+    words += list(_differential_corpus(thompson2))
+    for w in words:
+        assert lamination_apply(w) == _reference_lamination_apply(w)
+
+
+def _reference_act_bottom(g: DigitalBraid, b: ExpansionForest):
+    """Cabling that sums the cable widths in front of each crossing afresh."""
+    n = len(g.top)
+    if n == 0:
+        return b, g
+    perm = g.word.permutation()
+    widths = [b.trees[perm[i] - 1].leaf_count for i in range(n)]
+    bup = ExpansionForest(b.drs, tuple(b.trees[perm[i] - 1] for i in range(n)))
+    arr = list(range(n))
+    letters: list[int] = []
+    for d in g.word.letters:
+        k = abs(d)
+        u, v = arr[k - 1], arr[k]
+        offset = sum(widths[s] for s in arr[: k - 1])
+        letters.extend(_block_letters(offset, widths[u], widths[v], d))
+        arr[k - 1], arr[k] = v, u
+    word = BraidWord(max(sum(widths), 1), free_reduce(tuple(letters)))
+    return bup, DigitalBraid(bup.leaves(), b.leaves(), word)
+
+
+def test_act_bottom_matches_reference():
+    edge2 = edge_shift_drs([("a", ["a", "b"]), ("b", ["b", "a"])], base=("a",))
+    rng = random.Random(11)
+    checked = empty = 0
+    for drs in (thompson_drs(2), houghton_drs(3), edge2):
+        for flavor in (Flavor.BRAIDED, Flavor.PURE_BRAIDED, Flavor.PERMUTATION):
+            ctx = GroupContext(drs, drs.base, flavor)
+            for seed in range(60):
+                g = random_element(ctx, 5, seed, max_braid_letters=10).g
+                b = ExpansionForest.identity(drs, g.bottom)
+                for _ in range(rng.randint(0, 4)):
+                    open_leaves = [
+                        p
+                        for p, a in enumerate(b.leaves(), start=1)
+                        if drs.rule_for(a) is not None
+                    ]
+                    if open_leaves:
+                        b = expand_at(b, rng.choice(open_leaves))
+                for h in (g, DigitalBraid.identity(g.bottom)):
+                    assert act_bottom(h, b) == _reference_act_bottom(h, b)
+                    checked += 1
+                    empty += not h.word.letters
+    assert checked >= 1000 and empty >= 540

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from braidfrac import harness
+from braidfrac.braids import dehornoy_sign
 from braidfrac.cli import main
 from braidfrac.fraction import ORDERABLE_FLAVORS, FractionElement
 from braidfrac.harness import SUITE_NAMES
@@ -67,13 +69,22 @@ def test_degree_cap_exceeded_is_undecided(capsys):
 
 
 def test_step_budget_exceeded_is_undecided(capsys, monkeypatch):
+    # the braided sign reads the lamination and ignores the step budget
     sign = FractionElement.sign
     monkeypatch.setattr(
         FractionElement, "sign", lambda self, **kw: sign(self, budget=1, **kw)
     )
     literal = "frac T=[1 1] B=[1 2 -1 -2 1 2 -1 -2] S=[1 1]"
-    code, _, err = run(capsys, "sign", "--drs", "thompson:2", literal)
-    assert code == 3 and err.startswith("undecided within limits: ")
+    code, out, _ = run(capsys, "sign", "--drs", "thompson:2", literal)
+    assert code == 0 and out == "positive"
+    # the suites check the braided sign against handle reduction, which the
+    # step budget bounds
+    monkeypatch.setattr(harness, "dehornoy_sign", lambda w: dehornoy_sign(w, 1))
+    code, out, err = run(
+        capsys, "axioms", "--drs", "thompson:2", "--suite", "compatibility"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("undecided within limits: ")
 
 
 @pytest.mark.parametrize("cap", ["0", "-2", "x"])
@@ -238,6 +249,25 @@ def test_axioms_suite_flavor_matrix(capsys, drs, flavor):
         else:
             assert code in (0, 1), (suite, code, err)
             assert out.startswith(f"suite={suite} trials=2 "), (suite, out)
+
+
+@pytest.mark.parametrize("flavor", [f.value for f in ORDERABLE_FLAVORS])
+def test_axioms_budget_zero_and_negative(capsys, flavor):
+    # budget 0 draws base-word elements and runs (or refuses the flavor);
+    # a negative budget is a usage error; neither ends in a traceback
+    for suite in SUITE_NAMES:
+        argv = ("axioms", "--drs", "thompson:2", "--flavor", flavor,
+                "--suite", suite, "--trials", "3")
+        code, out, err = run(capsys, *argv, "--budget", "0")
+        if code == 2:
+            assert err.startswith(f"error: suite {suite}: "), (suite, err)
+        else:
+            assert code == 0, (suite, code, err)
+            assert out.startswith(f"suite={suite} trials=3 failures=0 "), out
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--budget", "-1"])
+        assert exc.value.code == 2
+        assert "--budget: must be at least 0" in capsys.readouterr().err
 
 
 def test_drs_file_and_base_flag(tmp_path, capsys):

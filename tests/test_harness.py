@@ -32,6 +32,12 @@ def test_unknown_suite(t2_braided):
         run_suite("nonsense", t2_braided, 1, 0)
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_negative_budget_refused(t2_pure, suite):
+    with pytest.raises(HarnessError, match="budget must be >= 0"):
+        run_suite(suite, t2_pure, 1, 0, budget=-1)
+
+
 @pytest.mark.parametrize("suite", ["bi_invariance", "semidirect"])
 def test_pure_only_suites_reject_braided(t2_braided, suite):
     with pytest.raises(HarnessError):
