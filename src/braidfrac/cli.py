@@ -333,7 +333,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_int_at_least(0), default=6)
-    p.add_argument("--max-braid-letters", type=int, default=12)
+    p.add_argument("--max-braid-letters", type=_int_at_least(0), default=12)
     p.set_defaults(func=_cmd_axioms)
 
     return parser

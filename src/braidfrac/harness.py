@@ -46,7 +46,7 @@ from .fraction import (
     format_element,
     random_element,
 )
-from .magnus import DEFAULT_DEGREE_CAP, pure_word_sign
+from .magnus import DEFAULT_DEGREE_CAP, _comb_sign, pure_word_sign
 from .ordering import Sign
 from .plmaps import pl_compose, pl_sign, realization_sign, realize_forest, realize_pair
 
@@ -165,6 +165,14 @@ def _suite_cone(context, rng, budget, letters, degree_cap):
                     "lamination sign disagrees with handle reduction:\n"
                     + _describe(x)
                 )
+    elif context.flavor is Flavor.PURE_BRAIDED:
+        # the pure sign reads linking numbers first; combing every level is
+        # the independent check
+        for x in (u, v, uv, e):
+            w = x.g.word
+            fast = pure_word_sign(w.letters, w.strands, degree_cap)
+            if fast is not _comb_sign(w.letters, w.strands, degree_cap):
+                return "linking-number sign disagrees with combing:\n" + _describe(x)
     return None
 
 

@@ -30,6 +30,16 @@ factor.  The opposite, kernel-first comparison is only left-invariant: the
 conjugating-type automorphisms by which the smaller group acts on each free
 level preserve the Magnus order of the level, but nothing protects a
 high-level component against sign flips caused by lower-level conjugation.
+
+Most words are signed without combing (Kim-Rolfsen, "An ordering for groups
+of pure braids and fibre-type hyperplane arrangements", Canad. J. Math. 55
+(2003), order the combed pure braid group this way).  The degree-1 Magnus
+coefficients of the level-k component are the linking numbers lk(j, k) of
+strand k with the strands below it, and one pass over the braid word gives
+all of them.  When the strands below the lowest level with a nonzero linking
+number form the trivial braid, that level decides at degree 1 and its least
+linked strand gives the sign; `pure_word_sign` proves this.  Every other
+word is combed (`_comb_sign`), and only there can the degree cap be reached.
 """
 
 from __future__ import annotations
@@ -37,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braids import BraidWord, DigitalBraid, free_reduce
+from .braids import BraidWord, DigitalBraid, free_reduce, lamination_trivial
+from .drs import _unchecked
 from .ordering import Sign
 
 FreeWord = tuple[int, ...]
@@ -190,21 +201,22 @@ def artin_image(braid_letters: tuple[int, ...], word: FreeWord) -> FreeWord:
 
 
 def delete_strand(letters: tuple[int, ...], n: int, strand: int = 0) -> tuple[int, ...]:
-    """Remove the strand starting at top position `strand` (default: the
-    last), dropping its crossings and reindexing the rest."""
+    """Remove every strand starting at top position `strand` or later
+    (default: only the last), dropping their crossings and reindexing the
+    rest."""
     if strand == 0:
         strand = n
-    p = strand  # current position of the tracked strand
+    at = list(range(n + 1))  # at[p] = top position of the strand at position p
+    rank = [min(p, strand - 1) for p in range(n + 1)]  # kept strands at 1..p
     out: list[int] = []
     for d in letters:
-        k = abs(d)
-        if k == p:
-            p = k + 1
-        elif k == p - 1:
-            p = k
-        else:
-            idx = k - 1 if k > p else k
-            out.append(idx if d > 0 else -idx)
+        p = d if d > 0 else -d
+        a, b = at[p], at[p + 1]
+        at[p], at[p + 1] = b, a
+        if a < strand and b < strand:
+            out.append(rank[p] if d > 0 else -rank[p])
+        elif a < strand or b < strand:
+            rank[p] = rank[p - 1] + (b < strand)
     return free_reduce(tuple(out))
 
 
@@ -327,6 +339,17 @@ def recombine(form: CombedForm, n: int | None = None) -> BraidWord:
     return BraidWord(n, word)
 
 
+def _comb_sign(letters: tuple[int, ...], n: int, degree_cap: int) -> Sign:
+    """Sign of a pure braid word by combing every level: the first
+    nontrivial component, from level 2 up, decides by its Magnus sign."""
+    levels = list(_level_words(letters, n))
+    for k, c in reversed(levels):
+        component = _level_component(c, k)
+        if component:
+            return free_word_sign(component, degree_cap)
+    return Sign.ZERO
+
+
 def pure_word_sign(
     letters: tuple[int, ...], n: int, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> Sign:
@@ -335,14 +358,46 @@ def pure_word_sign(
     component of the deleted strand, so the level-2 component is the most
     significant.  Kernel-first comparison would only be left-invariant;
     quotient-first gives the two-sided order the fraction groups rely on.
-    A trivial braid combs into empty components and signs zero."""
+    A trivial braid combs into empty components and signs zero.
+
+    Linking numbers decide most words without combing.  Let lk(j, k) be
+    half the signed crossings between the strands starting at j < k.
+    (i) lk(j, k) is a homomorphism on pure braids, since strand labels
+    agree where two pure words are stacked.  (ii) With g_k the braid left
+    after deleting strands k+1..n, the level-k component c_k satisfies
+    g_k = lift(g_{k-1}) c_k, and the lift runs strand k straight down at
+    position k, crossing nothing; so lk(j, k)(c_k) = lk(j, k)(g_k) =
+    lk(j, k)(g).  (iii) The loop A_ik = `_loop_generator_word(i, k)`, the
+    x_i of `_standard_basis(k)`, crosses strand k with strands i+1..k-1
+    once with each sign and with strand i twice positively, so
+    lk(j, k)(A_ik) = delta_ij.  Hence lk(j, k) is the exponent sum of x_j
+    in c_k, which is its degree-1 Magnus coefficient.  Let k be the lowest
+    level with some lk(j, k) != 0.  If deleting strands k..n leaves the
+    trivial braid, levels 2..k-1 are trivial and c_k decides at degree 1:
+    the least monomial with a nonzero coefficient is X_j0, j0 the least j
+    with lk(j0, k) != 0, and the sign is that of lk(j0, k).  With no such
+    k, a trivial braid signs zero.  Every other word is combed
+    (`_comb_sign`), so `DegreeCapExceeded` can only arise there: a word
+    decided here is one `free_word_sign` decides at degree 1."""
     _check_pure_word(letters, n)
-    levels = list(_level_words(letters, n))
-    for k, c in reversed(levels):
-        component = _level_component(c, k)
-        if component:
-            return free_word_sign(component, degree_cap)
-    return Sign.ZERO
+    m = n + 1
+    at = list(range(m))  # at[p] = strand (top position) at position p
+    twice_lk = [0] * (m * m)  # 2 lk(j, k) at k * m + j, j < k
+    for d in letters:
+        p = d if d > 0 else -d
+        a, b = at[p], at[p + 1]
+        at[p], at[p + 1] = b, a
+        i = b * m + a if a < b else a * m + b
+        twice_lk[i] += 1 if d > 0 else -1
+    k = next((k for k in range(2, m) if any(twice_lk[k * m : k * m + k])), m)
+    below = delete_strand(letters, n, k) if k < m else letters
+    if lamination_trivial(_unchecked(BraidWord, k - 1, below)):
+        if k == m:
+            return Sign.ZERO
+        if degree_cap >= 1:  # below degree 1 combing decides nothing
+            lk = next(x for x in twice_lk[k * m : k * m + k] if x)
+            return Sign.POSITIVE if lk > 0 else Sign.NEGATIVE
+    return _comb_sign(letters, n, degree_cap)
 
 
 def pure_braid_sign(

@@ -68,6 +68,24 @@ def test_degree_cap_exceeded_is_undecided(capsys):
     assert err.startswith("undecided within limits: ")
 
 
+def test_linking_decided_pure_sign_within_degree_cap_one(capsys):
+    # A13^-1 A23: the linking numbers of strand 3 decide at degree 1, and
+    # the least strand they link, strand 1, sets the sign
+    args = ("sign", "--drs", "thompson:2", "--flavor", "pure", "--degree-cap", "1")
+    code, out, _ = run(capsys, *args, "frac T=[1 1] B=[2 -1 -1 2] S=[1 1]")
+    assert code == 0 and out == "negative"
+
+
+def test_max_braid_letters_zero_and_negative(capsys):
+    argv = ("axioms", "--drs", "thompson:2", "--suite", "cone", "--trials", "3")
+    code, out, _ = run(capsys, *argv, "--max-braid-letters", "0")
+    assert code == 0 and out.startswith("suite=cone trials=3 failures=0 ")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-braid-letters", "-4"])
+    assert exc.value.code == 2
+    assert "--max-braid-letters: must be at least 0" in capsys.readouterr().err
+
+
 def test_step_budget_exceeded_is_undecided(capsys, monkeypatch):
     # the braided sign reads the lamination and ignores the step budget
     sign = FractionElement.sign

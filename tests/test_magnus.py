@@ -3,6 +3,8 @@
 Combing is checked against the braid oracles: recombining the combed
 components must reproduce the original word up to braid equivalence,
 verified through handle reduction and the lamination action independently.
+The linking-number path of `pure_word_sign` is checked against combing
+every level (`_comb_sign`).
 """
 
 from __future__ import annotations
@@ -11,17 +13,23 @@ import random
 
 import pytest
 
+from braidfrac import magnus
 from braidfrac.braids import (
     BraidWord,
     DigitalBraid,
+    act_bottom,
     free_reduce,
     handle_reduce,
     lamination_trivial,
 )
+from braidfrac.drs import ExpansionForest, expand_at
+from braidfrac.families import houghton_drs, thompson_drs
+from braidfrac.fraction import Flavor, GroupContext, random_element
 from braidfrac.magnus import (
     DegreeCapExceeded,
     MagnusError,
     NcPolynomial,
+    _comb_sign,
     comb,
     comb_word,
     delete_strand,
@@ -104,6 +112,14 @@ def test_delete_strand():
     # removing the strand a generator wraps around kills it
     assert delete_strand(a_jk(1, 3), 3) == ()
     assert free_reduce(delete_strand(a_jk(1, 2), 3)) == (1, 1)
+    # every strand from 3 on goes; strands 1 and 2 keep their crossings
+    w = a_jk(1, 2) + a_jk(2, 4) + a_jk(1, 3)
+    assert delete_strand(w, 4, 3) == (1, 1)
+    assert delete_strand(w, 4, 5) == free_reduce(w)
+    for letters in (a_jk(1, 4), a_jk(2, 3) + a_jk(3, 4), w):
+        assert delete_strand(letters, 4, 3) == delete_strand(
+            delete_strand(letters, 4), 3
+        )
 
 
 def test_recombine_inverts_comb():
@@ -169,3 +185,118 @@ def test_comb_digital_braid():
     g = DigitalBraid(("x", "x"), ("x", "x"), BraidWord(2, (1, 1)))
     form = comb(g)
     assert form.strands == 2 and form.components == ((1,),)
+
+
+# --- the linking-number path against combing ---------------------------------
+
+def _pure_corpus():
+    """Seeded (kind, strands, word) triples, all pure: products of random
+    generators A_jk on 2-10 strands; random words closed up by their
+    reversed indices with fresh signs; commutators of generators and their
+    conjugates, all linking numbers zero; commutators on the strands below a
+    linking level, which force combing; `act_bottom`-cabled pure braids;
+    and the braid factors of pure compare differences a^-1 b."""
+    rng = random.Random(13)
+
+    def word(n, length):
+        return tuple(
+            rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(length)
+        )
+
+    def gen(n):
+        j = rng.randint(1, n - 1)
+        w = a_jk(j, rng.randint(j + 1, n))
+        return w if rng.random() < 0.5 else invert_free(w)
+
+    for _ in range(3_700):
+        n = rng.randint(2, 10)
+        yield "random", n, random_pure_word(rng, n, rng.randint(0, 6))
+    for _ in range(1_500):
+        n = rng.randint(2, 10)
+        u = word(n, rng.randint(0, 8))
+        back = tuple(rng.choice([-1, 1]) * abs(d) for d in reversed(u))
+        yield "closed", n, free_reduce(u + back)
+    for _ in range(2_000):
+        n = rng.randint(3, 8)
+        x, y, c = gen(n), gen(n), word(n, rng.randint(0, 6))
+        comm = x + y + invert_free(x) + invert_free(y)
+        yield "commutator", n, free_reduce(c + comm + invert_free(c))
+    for _ in range(1_500):
+        n = rng.randint(4, 9)
+        k = rng.randint(4, n)
+        comm = ()
+        while lamination_trivial(BraidWord(k - 1, comm)):
+            x, y = gen(k - 1), gen(k - 1)
+            comm = x + y + invert_free(x) + invert_free(y)
+        tail = a_jk(rng.randint(1, k - 1), k)
+        if rng.random() < 0.5:
+            tail = invert_free(tail)
+        for _ in range(rng.randint(0, n - k)):
+            tail += a_jk(rng.randint(1, n - 1), n)
+        yield "hidden", n, free_reduce(comm + tail)
+    pure = [
+        GroupContext(drs, drs.base, Flavor.PURE_BRAIDED)
+        for drs in (thompson_drs(2), houghton_drs(3))
+    ]
+    for i in range(400):
+        drs = pure[i % 2].drs
+        g = random_element(pure[i % 2], 4, i, max_braid_letters=8).g
+        b = ExpansionForest.identity(drs, g.bottom)
+        for _ in range(rng.randint(1, 3)):
+            b = expand_at(b, rng.choice([
+                p for p, a in enumerate(b.leaves(), start=1)
+                if drs.rule_for(a) is not None
+            ]))
+        w = act_bottom(g, b)[1].word
+        yield "padded", w.strands, w.letters
+    for ctx in pure:
+        for i in range(500):
+            a = random_element(ctx, 4, 2 * i, max_braid_letters=8)
+            b = random_element(ctx, 4, 2 * i + 1, max_braid_letters=8)
+            w = (a.invert() * b).g.word
+            yield "compare", w.strands, w.letters
+
+
+def test_pure_sign_matches_combing(monkeypatch):
+    """The linking-number path signs every word as combing does, and both
+    it and the fallback to combing are exercised."""
+    fallbacks = []
+
+    def comb_sign(letters, n, degree_cap):
+        fallbacks.append(letters)
+        return _comb_sign(letters, n, degree_cap)
+
+    monkeypatch.setattr(magnus, "_comb_sign", comb_sign)
+    counts: dict[tuple[str, Sign], int] = {}
+    disagreements = []
+    decided = 0
+    for kind, n, letters in _pure_corpus():
+        before = len(fallbacks)
+        s = pure_word_sign(letters, n)
+        decided += len(fallbacks) == before and bool(letters)
+        if s is not _comb_sign(letters, n, 16):
+            disagreements.append((kind, n, letters))
+        counts[kind, s] = counts.get((kind, s), 0) + 1
+    assert not disagreements, disagreements[:3]
+    assert sum(counts.values()) >= 10_000
+    assert decided >= 5_000 and len(fallbacks) >= 2_500, (decided, len(fallbacks))
+    for kind in ("random", "closed", "commutator", "hidden", "padded", "compare"):
+        assert counts[kind, Sign.POSITIVE] and counts[kind, Sign.NEGATIVE], kind
+
+
+def test_pure_sign_named_values():
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            for j in range(1, k):
+                assert pure_word_sign(a_jk(j, k), n) is Sign.POSITIVE
+                assert pure_word_sign(invert_free(a_jk(j, k)), n) is Sign.NEGATIVE
+    # lk(1, 3) = -1 and lk(2, 3) = +1: the least strand j0 = 1 decides
+    w = free_reduce(invert_free(a_jk(1, 3)) + a_jk(2, 3))
+    assert pure_word_sign(w, 3) is Sign.NEGATIVE
+    assert pure_word_sign(invert_free(w), 3) is Sign.POSITIVE
+    # below degree 1 nothing is decided, as in combing
+    with pytest.raises(DegreeCapExceeded):
+        pure_word_sign(a_jk(1, 2), 2, degree_cap=0)
+    # linking numbers all zero: the commutator [A12, A23] is combed
+    comm = (1, 1, 2, 2, -1, -1, -2, -2)
+    assert pure_word_sign(comm, 3) is _comb_sign(comm, 3, 16) is Sign.NEGATIVE
