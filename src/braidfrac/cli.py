@@ -45,11 +45,12 @@ from .fraction import (
     FractionElement,
     FractionError,
     GroupContext,
+    _FRAC_RE,
     format_element,
     parse_element,
 )
 from .harness import SUITE_NAMES, HarnessError, report_format, run_suite
-from .magnus import DegreeCapExceeded
+from .magnus import DEFAULT_DEGREE_CAP, DegreeCapExceeded
 from .plmaps import realize_pair
 
 
@@ -83,7 +84,6 @@ def build_context(args: argparse.Namespace) -> GroupContext:
 
 # --- expression parsing -------------------------------------------------------
 
-_FRAC_AT = re.compile(r"frac\s+T=\[[^\]]*\]\s+B=\[[^\]]*\]\s+S=\[[^\]]*\]")
 _STEPS_AT = re.compile(r"\[([^\]]*)\]")
 
 
@@ -131,7 +131,7 @@ class _Parser:
             self.expect(")")
             return e.invert()
         if self.text.startswith("frac", self.pos):
-            m = _FRAC_AT.match(self.text, self.pos)
+            m = _FRAC_RE.match(self.text, self.pos)
             if m is None:
                 raise self.error("malformed fraction literal")
             self.pos = m.end()
@@ -150,6 +150,12 @@ class _Parser:
         self.pos = end + 1
         return fields
 
+    def _int_field(self, field: str, what: str) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise self.error(f"expected an integer {what}, got {field!r}") from None
+
     def _forest_field(self, field: str):
         m = _STEPS_AT.fullmatch(field)
         if m is None:
@@ -162,7 +168,7 @@ class _Parser:
         fields = self._call_fields()
         if not 2 <= len(fields) <= 3:
             raise self.error("bh1 takes (i; [steps]) or (i; [steps]; under)")
-        i = int(fields[0])
+        i = self._int_field(fields[0], "position")
         t = self._forest_field(fields[1])
         x_over = True
         if len(fields) == 3:
@@ -182,8 +188,11 @@ class _Parser:
         fields = self._call_fields()
         if not 2 <= len(fields) <= 3:
             raise self.error("bh2 takes (i; braid word) or (i; braid word; [steps])")
-        i = int(fields[0])
-        letters = tuple(int(x) for x in fields[1].replace(",", " ").split())
+        i = self._int_field(fields[0], "position")
+        letters = tuple(
+            self._int_field(x, "braid letter")
+            for x in fields[1].replace(",", " ").split()
+        )
         strands = max((abs(d) for d in letters), default=0) + 1
         if len(fields) == 3:
             t = self._forest_field(fields[2])
@@ -286,7 +295,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=[f.value for f in Flavor],
     )
     parser.add_argument("--base", help="base word (space-separated letters)")
-    parser.add_argument("--degree-cap", type=_int_at_least(1), default=16)
+    parser.add_argument(
+        "--degree-cap", type=_int_at_least(1), default=DEFAULT_DEGREE_CAP
+    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -447,8 +447,6 @@ def _plain_piece(
         if cand.leaves() == t.leaves():
             s = cand
             break
-    if s.leaves() != t.leaves():
-        s = t
     return FractionElement(
         context, t, DigitalBraid.identity(t.leaves()), s
     )
@@ -483,7 +481,7 @@ def random_element(
 # --- literals ------------------------------------------------------------------
 
 _FRAC_RE = re.compile(
-    r"frac\s+T=\[([^\]]*)\]\s+B=\[([^\]]*)\]\s+S=\[([^\]]*)\]\Z"
+    r"frac\s+T=\[([^\]]*)\]\s+B=\[([^\]]*)\]\s+S=\[([^\]]*)\]"
 )
 
 

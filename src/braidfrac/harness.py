@@ -37,6 +37,7 @@ from .drs import (
     steps_of,
 )
 from .fraction import (
+    ORDERABLE_FLAVORS,
     Flavor,
     FractionElement,
     GroupContext,
@@ -166,13 +167,13 @@ def _suite_cone(context, rng, budget, letters, degree_cap):
                     + _describe(x)
                 )
     elif context.flavor is Flavor.PURE_BRAIDED:
-        # the pure sign reads linking numbers first; combing every level is
-        # the independent check
+        # the pure sign reads linking numbers and combs at most one level;
+        # combing every level is the independent check
         for x in (u, v, uv, e):
             w = x.g.word
             fast = pure_word_sign(w.letters, w.strands, degree_cap)
             if fast is not _comb_sign(w.letters, w.strands, degree_cap):
-                return "linking-number sign disagrees with combing:\n" + _describe(x)
+                return "pure sign disagrees with combing:\n" + _describe(x)
     return None
 
 
@@ -191,8 +192,6 @@ def _suite_left_invariance(context, rng, budget, letters, degree_cap):
 
 
 def _suite_bi_invariance(context, rng, budget, letters, degree_cap):
-    if context.flavor is not Flavor.PURE_BRAIDED:
-        raise HarnessError("runs on the pure flavor only")
     a = _sample(context, rng, budget, letters)
     b = _sample(context, rng, budget, letters)
     c = _sample(context, rng, budget, letters)
@@ -236,13 +235,7 @@ def _random_positive_braid(context, rng, budget, letters, degree_cap):
     return e.g
 
 
-def _require_braids(context: GroupContext) -> None:
-    if context.flavor is Flavor.PLAIN:
-        raise HarnessError("runs on the braided, pure and permutation flavors only")
-
-
 def _suite_compatibility(context, rng, budget, letters, degree_cap):
-    _require_braids(context)
     g = _random_positive_braid(context, rng, budget, letters, degree_cap)
     positions = [
         p
@@ -273,7 +266,6 @@ def _random_digital_braid(context, rng, budget, letters):
 
 
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
-    _require_braids(context)
     # g^(B1 B2) = (g^B1)^B2
     g = _random_digital_braid(context, rng, budget, letters)
     b1 = _grow_forest(context.drs, g.bottom, rng.randint(0, budget), rng)
@@ -326,8 +318,6 @@ def _suite_same_sign(context, rng, budget, letters, degree_cap):
 
 
 def _suite_semidirect(context, rng, budget, letters, degree_cap):
-    if context.flavor is not Flavor.PURE_BRAIDED:
-        raise HarnessError("runs on the pure flavor only")
     e = _sample(context, rng, budget, letters)
     s = e.psi_section()
     k = e * s.invert()
@@ -375,15 +365,19 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
     return None
 
 
+_PURE = (Flavor.PURE_BRAIDED,)
+_WITH_BRAIDS = (Flavor.BRAIDED, Flavor.PURE_BRAIDED, Flavor.PERMUTATION)
+
+# suite body and the flavors it runs on
 _SUITES = {
-    "cone": _suite_cone,
-    "left_invariance": _suite_left_invariance,
-    "bi_invariance": _suite_bi_invariance,
-    "compatibility": _suite_compatibility,
-    "indirect_axioms": _suite_indirect_axioms,
-    "same_sign": _suite_same_sign,
-    "semidirect": _suite_semidirect,
-    "realization": _suite_realization,
+    "cone": (_suite_cone, ORDERABLE_FLAVORS),
+    "left_invariance": (_suite_left_invariance, ORDERABLE_FLAVORS),
+    "bi_invariance": (_suite_bi_invariance, _PURE),
+    "compatibility": (_suite_compatibility, _WITH_BRAIDS),
+    "indirect_axioms": (_suite_indirect_axioms, _WITH_BRAIDS),
+    "same_sign": (_suite_same_sign, tuple(Flavor)),
+    "semidirect": (_suite_semidirect, _PURE),
+    "realization": (_suite_realization, tuple(Flavor)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -400,9 +394,13 @@ def run_suite(
 ) -> Report:
     if name not in _SUITES:
         raise HarnessError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    body, flavors = _SUITES[name]
+    if context.flavor not in flavors:
+        *rest, last = (f.value for f in flavors)
+        listed = f"{', '.join(rest)} and {last} flavors" if rest else f"{last} flavor"
+        raise HarnessError(f"suite {name}: runs on the {listed} only")
     if budget < 0:
         raise HarnessError(f"budget must be >= 0, got {budget}")
-    body = _SUITES[name]
     failures = 0
     counterexamples: list[str] = []
     start = time.monotonic()

@@ -31,15 +31,19 @@ conjugating-type automorphisms by which the smaller group acts on each free
 level preserve the Magnus order of the level, but nothing protects a
 high-level component against sign flips caused by lower-level conjugation.
 
-Most words are signed without combing (Kim-Rolfsen, "An ordering for groups
-of pure braids and fibre-type hyperplane arrangements", Canad. J. Math. 55
-(2003), order the combed pure braid group this way).  The degree-1 Magnus
-coefficients of the level-k component are the linking numbers lk(j, k) of
-strand k with the strands below it, and one pass over the braid word gives
-all of them.  When the strands below the lowest level with a nonzero linking
-number form the trivial braid, that level decides at degree 1 and its least
-linked strand gives the sign; `pure_word_sign` proves this.  Every other
-word is combed (`_comb_sign`), and only there can the degree cap be reached.
+The order path combs at most one level (Kim-Rolfsen, "An ordering for
+groups of pure braids and fibre-type hyperplane arrangements", Canad. J.
+Math. 55 (2003), order the combed pure braid group this way).  The degree-1
+Magnus coefficients of the level-k component are the linking numbers
+lk(j, k) of strand k with the strands below it, and one pass over the braid
+word gives all of them.  The lowest level with a nonzero linking number, or
+the top when there is none, bounds the deciding level from above; the
+lamination walks down from there to the lowest level whose strands do not
+form the trivial braid.  If that level has a nonzero linking number, its
+least linked strand gives the sign; otherwise that level alone is combed,
+and only there can the degree cap be reached.  `pure_word_sign` proves
+this.  `_comb_sign`, which combs every level from level 2 up, is the
+reference the tests and the `cone` suite check the order against.
 """
 
 from __future__ import annotations
@@ -173,39 +177,27 @@ def free_word_sign(word: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sign
 def artin_image(braid_letters: tuple[int, ...], word: FreeWord) -> FreeWord:
     """Image of a free word under a braid word, letters applied left to
     right; kept freely reduced throughout."""
-    w = list(word)
+    w = word
     for d in braid_letters:
         k = abs(d)
         out: list[int] = []
         for t in w:
             j = abs(t)
             if j != k and j != k + 1:
-                rep: tuple[int, ...] = (t,)
-            elif d > 0:
-                if j == k:
-                    rep = (k, k + 1, -k) if t > 0 else (k, -(k + 1), -k)
-                else:
-                    rep = (k,) if t > 0 else (-k,)
+                out.append(t)
+                continue
+            s = 1 if t > 0 else -1
+            if d > 0:
+                out.extend((k, s * (k + 1), -k) if j == k else (s * k,))
             else:
-                if j == k:
-                    rep = (k + 1,) if t > 0 else (-(k + 1),)
-                else:
-                    rep = (-(k + 1), k, k + 1) if t > 0 else (-(k + 1), -k, k + 1)
-            for x in rep:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-        w = out
-    return tuple(w)
+                out.extend((s * (k + 1),) if j == k else (-(k + 1), s * k, k + 1))
+        w = free_reduce(tuple(out))
+    return w
 
 
-def delete_strand(letters: tuple[int, ...], n: int, strand: int = 0) -> tuple[int, ...]:
-    """Remove every strand starting at top position `strand` or later
-    (default: only the last), dropping their crossings and reindexing the
-    rest."""
-    if strand == 0:
-        strand = n
+def delete_strand(letters: tuple[int, ...], n: int, strand: int) -> tuple[int, ...]:
+    """Remove every strand starting at top position `strand` or later,
+    dropping their crossings and reindexing the rest."""
     at = list(range(n + 1))  # at[p] = top position of the strand at position p
     rank = [min(p, strand - 1) for p in range(n + 1)]  # kept strands at 1..p
     out: list[int] = []
@@ -222,16 +214,15 @@ def delete_strand(letters: tuple[int, ...], n: int, strand: int = 0) -> tuple[in
 
 def _peel_conjugator(word: FreeWord, center: int) -> FreeWord:
     """For a reduced word of shape u (center) u^{-1}, return u."""
-    w = free_reduce(word)
-    lo, hi = 0, len(w) - 1
+    lo, hi = 0, len(word) - 1
     while hi - lo > 0:
-        if w[lo] != -w[hi]:
+        if word[lo] != -word[hi]:
             raise MagnusError(f"word is not a conjugate of generator {center}")
         lo += 1
         hi -= 1
-    if lo != hi or w[lo] != center:
+    if lo != hi or word[lo] != center:
         raise MagnusError(f"word is not a conjugate of generator {center}")
-    return w[: lo]
+    return word[: lo]
 
 
 def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
@@ -245,13 +236,8 @@ def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
 def _substitute(word: FreeWord, table: dict[int, FreeWord]) -> FreeWord:
     out: list[int] = []
     for t in word:
-        rep = table[abs(t)] if t > 0 else invert_free(table[abs(t)])
-        for x in rep:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+        out.extend(table[t] if t > 0 else invert_free(table[-t]))
+    return free_reduce(tuple(out))
 
 
 def _raw_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
@@ -304,7 +290,7 @@ def _level_words(letters: tuple[int, ...], n: int):
     trivialized by deleting strand k."""
     w = free_reduce(letters)
     for k in range(n, 1, -1):
-        wbar = delete_strand(w, k)
+        wbar = delete_strand(w, k, k)
         lift_inv = tuple(-d for d in reversed(wbar))
         yield k, free_reduce(lift_inv + w)
         w = wbar
@@ -371,14 +357,20 @@ def pure_word_sign(
     x_i of `_standard_basis(k)`, crosses strand k with strands i+1..k-1
     once with each sign and with strand i twice positively, so
     lk(j, k)(A_ik) = delta_ij.  Hence lk(j, k) is the exponent sum of x_j
-    in c_k, which is its degree-1 Magnus coefficient.  Let k be the lowest
-    level with some lk(j, k) != 0.  If deleting strands k..n leaves the
-    trivial braid, levels 2..k-1 are trivial and c_k decides at degree 1:
-    the least monomial with a nonzero coefficient is X_j0, j0 the least j
-    with lk(j0, k) != 0, and the sign is that of lk(j0, k).  With no such
-    k, a trivial braid signs zero.  Every other word is combed
-    (`_comb_sign`), so `DegreeCapExceeded` can only arise there: a word
-    decided here is one `free_word_sign` decides at degree 1."""
+    in c_k, which is its degree-1 Magnus coefficient.  (iv) The deciding
+    level is the lowest k with g_k nontrivial, and a trivial g_k has a
+    trivial g_{k-1}.  Start at the lowest level k with some lk(j, k) != 0,
+    where g_k is nontrivial by (ii), or at n+1 if there is none, and step
+    down while g_{k-1}, the braid left after deleting strands k..n, is
+    nontrivial by the lamination.  The walk stops at the deciding level, or
+    at n+1 when the whole braid is trivial and signs zero.  There g_{k-1}
+    is trivial, so lift(g_{k-1}) is too, and g_k = c_k: the word of g_k is
+    its own level-k component.  If some lk(j, k) != 0, c_k decides at
+    degree 1: the least monomial with a nonzero coefficient is X_j0, j0 the
+    least j with lk(j0, k) != 0, and the sign is that of lk(j0, k).
+    Otherwise g_k alone is combed and signed by `free_word_sign`, so
+    `DegreeCapExceeded` can only arise there: a word decided by its
+    linking numbers is one `free_word_sign` decides at degree 1."""
     _check_pure_word(letters, n)
     m = n + 1
     at = list(range(m))  # at[p] = strand (top position) at position p
@@ -390,14 +382,17 @@ def pure_word_sign(
         i = b * m + a if a < b else a * m + b
         twice_lk[i] += 1 if d > 0 else -1
     k = next((k for k in range(2, m) if any(twice_lk[k * m : k * m + k])), m)
-    below = delete_strand(letters, n, k) if k < m else letters
-    if lamination_trivial(_unchecked(BraidWord, k - 1, below)):
-        if k == m:
-            return Sign.ZERO
-        if degree_cap >= 1:  # below degree 1 combing decides nothing
-            lk = next(x for x in twice_lk[k * m : k * m + k] if x)
-            return Sign.POSITIVE if lk > 0 else Sign.NEGATIVE
-    return _comb_sign(letters, n, degree_cap)
+    while not lamination_trivial(
+        _unchecked(BraidWord, k - 1, delete_strand(letters, n, k))
+    ):
+        k -= 1
+    if k == m:
+        return Sign.ZERO
+    lk = next((x for x in twice_lk[k * m : k * m + k] if x), 0)
+    if lk and degree_cap >= 1:  # below degree 1 combing decides nothing
+        return Sign.POSITIVE if lk > 0 else Sign.NEGATIVE
+    g_k = delete_strand(letters, n, k + 1)
+    return free_word_sign(_level_component(g_k, k), degree_cap)
 
 
 def pure_braid_sign(

@@ -10,7 +10,7 @@ import pytest
 from braidfrac import harness
 from braidfrac.braids import dehornoy_sign
 from braidfrac.cli import main
-from braidfrac.fraction import ORDERABLE_FLAVORS, FractionElement
+from braidfrac.fraction import ORDERABLE_FLAVORS, Flavor, FractionElement
 from braidfrac.harness import SUITE_NAMES
 
 
@@ -195,6 +195,16 @@ def test_bh1_unreachable_target(capsys):
     assert code == 2 and "not an expansion" in err
 
 
+@pytest.mark.parametrize(
+    "expr, field",
+    [("bh1(a; [])", "'a'"), ("bh2(z; 1)", "'z'"), ("bh2(1; 1 x)", "'x'")],
+)
+def test_bh_integer_fields_are_usage_errors(capsys, expr, field):
+    code, _, err = run(capsys, "sign", "--drs", "houghton:3", expr)
+    assert code == 2 and err.startswith("error: at column "), err
+    assert "expected an integer" in err and field in err
+
+
 def test_realize(capsys):
     code, out, _ = run(
         capsys,
@@ -252,7 +262,7 @@ def test_axioms_trials_must_be_positive(capsys):
     assert "--trials" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flavor", [f.value for f in ORDERABLE_FLAVORS])
+@pytest.mark.parametrize("flavor", [f.value for f in Flavor])
 @pytest.mark.parametrize("drs", ["thompson:2", "houghton:3"])
 def test_axioms_suite_flavor_matrix(capsys, drs, flavor):
     # every cell runs (exit 0, or 1 on a failed trial) or the suite refuses

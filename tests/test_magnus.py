@@ -3,8 +3,8 @@
 Combing is checked against the braid oracles: recombining the combed
 components must reproduce the original word up to braid equivalence,
 verified through handle reduction and the lamination action independently.
-The linking-number path of `pure_word_sign` is checked against combing
-every level (`_comb_sign`).
+`pure_word_sign`, which reads linking numbers and combs at most one level,
+is checked against combing every level (`_comb_sign`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from braidfrac.magnus import (
     MagnusError,
     NcPolynomial,
     _comb_sign,
+    _level_component,
     comb,
     comb_word,
     delete_strand,
@@ -110,15 +111,15 @@ def test_comb_rejects_non_pure():
 
 def test_delete_strand():
     # removing the strand a generator wraps around kills it
-    assert delete_strand(a_jk(1, 3), 3) == ()
-    assert free_reduce(delete_strand(a_jk(1, 2), 3)) == (1, 1)
+    assert delete_strand(a_jk(1, 3), 3, 3) == ()
+    assert delete_strand(a_jk(1, 2), 3, 3) == (1, 1)
     # every strand from 3 on goes; strands 1 and 2 keep their crossings
     w = a_jk(1, 2) + a_jk(2, 4) + a_jk(1, 3)
     assert delete_strand(w, 4, 3) == (1, 1)
     assert delete_strand(w, 4, 5) == free_reduce(w)
     for letters in (a_jk(1, 4), a_jk(2, 3) + a_jk(3, 4), w):
         assert delete_strand(letters, 4, 3) == delete_strand(
-            delete_strand(letters, 4), 3
+            delete_strand(letters, 4, 4), 3, 3
         )
 
 
@@ -258,28 +259,32 @@ def _pure_corpus():
 
 
 def test_pure_sign_matches_combing(monkeypatch):
-    """The linking-number path signs every word as combing does, and both
-    it and the fallback to combing are exercised."""
-    fallbacks = []
+    """The order path signs every word as combing every level does, both by
+    linking numbers and by combing one level, and never combs more than
+    one level per word."""
+    combs = []
 
-    def comb_sign(letters, n, degree_cap):
-        fallbacks.append(letters)
-        return _comb_sign(letters, n, degree_cap)
+    def level_component(letters, k):
+        combs.append(k)
+        return _level_component(letters, k)
 
-    monkeypatch.setattr(magnus, "_comb_sign", comb_sign)
+    monkeypatch.setattr(magnus, "_level_component", level_component)
     counts: dict[tuple[str, Sign], int] = {}
     disagreements = []
-    decided = 0
+    decided = combed = 0
     for kind, n, letters in _pure_corpus():
-        before = len(fallbacks)
+        before = len(combs)
         s = pure_word_sign(letters, n)
-        decided += len(fallbacks) == before and bool(letters)
+        levels = len(combs) - before
+        assert levels <= 1, (kind, n, letters)
+        combed += levels
+        decided += not levels and bool(letters)
         if s is not _comb_sign(letters, n, 16):
             disagreements.append((kind, n, letters))
         counts[kind, s] = counts.get((kind, s), 0) + 1
     assert not disagreements, disagreements[:3]
     assert sum(counts.values()) >= 10_000
-    assert decided >= 5_000 and len(fallbacks) >= 2_500, (decided, len(fallbacks))
+    assert decided >= 5_000 and combed >= 2_500, (decided, combed)
     for kind in ("random", "closed", "commutator", "hidden", "padded", "compare"):
         assert counts[kind, Sign.POSITIVE] and counts[kind, Sign.NEGATIVE], kind
 
@@ -300,3 +305,6 @@ def test_pure_sign_named_values():
     # linking numbers all zero: the commutator [A12, A23] is combed
     comm = (1, 1, 2, 2, -1, -1, -2, -2)
     assert pure_word_sign(comm, 3) is _comb_sign(comm, 3, 16) is Sign.NEGATIVE
+    # lk(1, 4) = +1, but strands 1..3 carry the commutator: level 3 decides
+    w = comm + a_jk(1, 4)
+    assert pure_word_sign(w, 4) is _comb_sign(w, 4, 16) is Sign.NEGATIVE
