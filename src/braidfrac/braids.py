@@ -9,7 +9,9 @@ rewriting system; strands must join equal letters.  Digital braids form a
 groupoid under stacking, and expansion forests act on them by cabling: a
 strand ending at a bottom position whose tree has k leaves is replaced by k
 parallel strands, each crossing becoming the block crossing of the two
-cables.
+cables.  The cabling loop lives in `_cable`, which takes the widths at the
+top of the braid; `act_bottom` moves the forest to the top and calls it,
+and so does the product of fractions, without building the forests.
 
 Two independent decision procedures for the braid word problem live here.
 The lamination action tracks integral (Dynnikov) coordinates of a curve
@@ -327,6 +329,37 @@ def _block_letters(offset: int, p: int, q: int, sign: int) -> list[int]:
     return [-x for x in reversed(positive)]
 
 
+def _cable(letters: tuple[int, ...], widths: list[int]) -> tuple[int, ...]:
+    """The word `letters` with the strand at top position i replaced by
+    widths[i-1] parallel strands, each crossing becoming the block crossing
+    of two cables; not freely reduced, and `letters` itself when every
+    width is 1.
+
+    width[p] is the width of the cable now at position p+1 and start[p] the
+    number of strands left of it; swapping positions k, k+1 moves only
+    start[k].  Cabling commutes with inversion: the cable of the inverse
+    word, with the widths at its own top, is the inverse of the cable."""
+    n = len(widths)
+    if sum(widths) == n:
+        return letters
+    width = list(widths)
+    start = [0] * n
+    for p in range(1, n):
+        start[p] = start[p - 1] + width[p - 1]
+    out: list[int] = []
+    for d in letters:
+        k = d if d > 0 else -d
+        u, v = width[k - 1], width[k]
+        offset = start[k - 1]
+        if u == 1 and v == 1:
+            out.append(offset + 1 if d > 0 else -offset - 1)
+        else:
+            out.extend(_block_letters(offset, u, v, d))
+        width[k - 1], width[k] = v, u
+        start[k] = offset + v
+    return tuple(out)
+
+
 def act_bottom(
     g: DigitalBraid, b: ExpansionForest
 ) -> tuple[ExpansionForest, DigitalBraid]:
@@ -340,35 +373,17 @@ def act_bottom(
         raise SourceMismatchError(
             f"forest source {b.source} does not match braid bottom {g.bottom}"
         )
-    n = len(g.top)
-    if n == 0:
+    if not g.top:
         return b, g
-    if not g.word.letters:
-        leaves = b.leaves()
-        word = _unchecked(BraidWord, max(len(leaves), 1), ())
-        return b, _unchecked(DigitalBraid, leaves, leaves, word)
-    perm = g.word.permutation()
     bup = _unchecked(
-        ExpansionForest, b.drs, tuple(b.trees[perm[i] - 1] for i in range(n))
+        ExpansionForest, b.drs, tuple(b.trees[p - 1] for p in g.word.permutation())
     )
-    # width[p] = width of the cable now at position p+1, start[p] = number
-    # of strands left of it; swapping positions k, k+1 moves only start[k]
-    width = [t.leaf_count for t in bup.trees]
-    start = [0] * n
-    for p in range(1, n):
-        start[p] = start[p - 1] + width[p - 1]
-    letters: list[int] = []
-    for d in g.word.letters:
-        k = abs(d)
-        u, v = width[k - 1], width[k]
-        offset = start[k - 1]
-        letters.extend(_block_letters(offset, u, v, d))
-        width[k - 1], width[k] = v, u
-        start[k] = offset + v
+    letters = _cable(g.word.letters, [t.leaf_count for t in bup.trees])
+    leaves = bup.leaves()
     gb = _unchecked(
         DigitalBraid,
-        bup.leaves(),
+        leaves,
         b.leaves(),
-        _unchecked(BraidWord, max(sum(width), 1), free_reduce(tuple(letters))),
+        _unchecked(BraidWord, max(len(leaves), 1), free_reduce(letters)),
     )
     return bup, gb

@@ -93,8 +93,12 @@ class _Parser:
         self.text = text
         self.pos = 0
 
-    def error(self, message: str) -> CliError:
-        return CliError(f"at column {self.pos + 1}: {message}")
+    def error(self, message: str, at: int | None = None) -> CliError:
+        """A usage error at offset `at` of the text, by default the current
+        position."""
+        return CliError(
+            f"at column {(self.pos if at is None else at) + 1}: {message}"
+        )
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -142,24 +146,33 @@ class _Parser:
             return self.parse_bh2()
         raise self.error("expected an atom (frac literal, bh1, bh2 or inv)")
 
-    def _call_fields(self) -> list[str]:
+    def _call_fields(self) -> list[tuple[int, str]]:
+        """The `;`-separated fields up to the closing parenthesis, stripped,
+        each with the offset where its text starts."""
         end = self.text.find(")", self.pos)
         if end < 0:
             raise self.error("unterminated generator call")
-        fields = [f.strip() for f in self.text[self.pos : end].split(";")]
+        fields = []
+        start = self.pos
+        for raw in self.text[self.pos : end].split(";"):
+            text = raw.lstrip()
+            fields.append((start + len(raw) - len(text), text.rstrip()))
+            start += len(raw) + 1
         self.pos = end + 1
         return fields
 
-    def _int_field(self, field: str, what: str) -> int:
+    def _int_field(self, at: int, field: str, what: str) -> int:
         try:
             return int(field)
         except ValueError:
-            raise self.error(f"expected an integer {what}, got {field!r}") from None
+            raise self.error(
+                f"expected an integer {what}, got {field!r}", at
+            ) from None
 
-    def _forest_field(self, field: str):
+    def _forest_field(self, at: int, field: str):
         m = _STEPS_AT.fullmatch(field)
         if m is None:
-            raise self.error(f"expected a step list, got {field!r}")
+            raise self.error(f"expected a step list, got {field!r}", at)
         return forest_from_steps(
             self.context.drs, self.context.base, parse_steps(m.group(1))
         )
@@ -168,13 +181,14 @@ class _Parser:
         fields = self._call_fields()
         if not 2 <= len(fields) <= 3:
             raise self.error("bh1 takes (i; [steps]) or (i; [steps]; under)")
-        i = self._int_field(fields[0], "position")
-        t = self._forest_field(fields[1])
+        i = self._int_field(*fields[0], "position")
+        t = self._forest_field(*fields[1])
         x_over = True
         if len(fields) == 3:
-            if fields[2] not in ("over", "under"):
-                raise self.error("third bh1 field must be 'over' or 'under'")
-            x_over = fields[2] == "over"
+            at, mode = fields[2]
+            if mode not in ("over", "under"):
+                raise self.error("third bh1 field must be 'over' or 'under'", at)
+            x_over = mode == "over"
         g = bh_type1(t.leaves(), i, x_over)
         s = forest_with_leaves(self.context.drs, self.context.base, g.bottom)
         if s is None:
@@ -188,14 +202,15 @@ class _Parser:
         fields = self._call_fields()
         if not 2 <= len(fields) <= 3:
             raise self.error("bh2 takes (i; braid word) or (i; braid word; [steps])")
-        i = self._int_field(fields[0], "position")
+        i = self._int_field(*fields[0], "position")
+        at, word = fields[1]
         letters = tuple(
-            self._int_field(x, "braid letter")
-            for x in fields[1].replace(",", " ").split()
+            self._int_field(at, x, "braid letter")
+            for x in word.replace(",", " ").split()
         )
         strands = max((abs(d) for d in letters), default=0) + 1
         if len(fields) == 3:
-            t = self._forest_field(fields[2])
+            t = self._forest_field(*fields[2])
         else:
             t = forest_from_steps(self.context.drs, self.context.base, [])
         g = bh_type2(t.leaves(), i, BraidWord(strands, letters))

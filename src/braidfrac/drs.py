@@ -15,7 +15,11 @@ two forests with the same source is their pointwise tree union (a node is
 expanded in the join iff it is expanded in either argument; this is well
 defined because each letter carries at most one rule), and the complements are
 obtained by structural tree subtraction.  These are the ingredients needed to
-form groups of fractions further up the stack.
+form groups of fractions further up the stack.  `complement` subtracts one
+forest from a given upper bound.  The complements into the join come from
+one walk of the two forests (`_complements`), which never builds the join
+and also gives the leaf word of each complement tree; `forest_join` and the
+product of fractions both use it, and `complement` is its reference.
 
 Positions in step sequences are 1-based: ``[2, 1]`` means "expand the letter
 at position 2 of the source word, then the letter at position 1 of the
@@ -219,6 +223,20 @@ def _graft_tree(tree: ExpansionTree, it: Iterator[ExpansionTree]) -> ExpansionTr
     return ExpansionTree(tree.label, tuple(_graft_tree(c, it) for c in tree.children))
 
 
+def _graft(
+    first: ExpansionForest, trees: list[ExpansionTree] | tuple[ExpansionTree, ...]
+) -> ExpansionForest:
+    """`first` with its i-th leaf replaced by trees[i], each rooted at that
+    leaf's label; `first` itself when every tree is a leaf, since grafting
+    would rebuild it unchanged."""
+    if not any(t.children for t in trees):
+        return first
+    it = iter(trees)
+    return _unchecked(
+        ExpansionForest, first.drs, tuple(_graft_tree(t, it) for t in first.trees)
+    )
+
+
 def graft(first: ExpansionForest, second: ExpansionForest) -> ExpansionForest:
     """Compose expansions: replace the i-th leaf of `first` by the i-th tree
     of `second`."""
@@ -227,10 +245,7 @@ def graft(first: ExpansionForest, second: ExpansionForest) -> ExpansionForest:
         raise SourceMismatchError(
             f"leaves {first.leaves()} do not match source {second.source}"
         )
-    it = iter(second.trees)
-    return _unchecked(
-        ExpansionForest, first.drs, tuple(_graft_tree(t, it) for t in first.trees)
-    )
+    return _graft(first, second.trees)
 
 
 def _union_tree(a: ExpansionTree, b: ExpansionTree) -> ExpansionTree:
@@ -241,6 +256,54 @@ def _union_tree(a: ExpansionTree, b: ExpansionTree) -> ExpansionTree:
     return ExpansionTree(
         a.label, tuple(_union_tree(x, y) for x, y in zip(a.children, b.children))
     )
+
+
+def _leaf_nodes(tree: ExpansionTree, out: list[ExpansionTree]) -> None:
+    if not tree.children:
+        out.append(tree)
+        return
+    for c in tree.children:
+        _leaf_nodes(c, out)
+
+
+def _complements(
+    s_trees: tuple[ExpansionTree, ...], t_trees: tuple[ExpansionTree, ...]
+) -> tuple[list[ExpansionTree], list[ExpansionTree], list[Word], list[Word]]:
+    """The complement trees B and A of two forests s, t with the same source
+    into their join J, graft(s, B) = graft(t, A) = J, with the leaf word of
+    each complement tree, from one walk of the two forests; J is not built.
+
+    Where both forests expand a node, the walk descends.  Where one has a
+    leaf, J carries the other's subtree there: that subtree is the
+    complement tree of the leaf, and each of its leaves is a one-leaf
+    complement tree of the other forest.  The trees are the nodes of s and
+    t themselves, as `complement(s, J)` and `complement(t, J)` give them.
+    """
+    b_trees: list[ExpansionTree] = []
+    a_trees: list[ExpansionTree] = []
+    b_words: list[Word] = []
+    a_words: list[Word] = []
+
+    def cover(big, trees, words, leaf_trees, leaf_words) -> None:
+        leaves: list[ExpansionTree] = []
+        _leaf_nodes(big, leaves)
+        trees.append(big)
+        words.append(tuple(x.label for x in leaves))
+        leaf_trees.extend(leaves)
+        leaf_words.extend((x.label,) for x in leaves)
+
+    def walk(s: ExpansionTree, t: ExpansionTree) -> None:
+        if s.children and t.children:
+            for x, y in zip(s.children, t.children):
+                walk(x, y)
+        elif s.children:
+            cover(s, a_trees, a_words, b_trees, b_words)
+        else:
+            cover(t, b_trees, b_words, a_trees, a_words)
+
+    for s, t in zip(s_trees, t_trees):
+        walk(s, t)
+    return b_trees, a_trees, b_words, a_words
 
 
 def _complement_tree(
@@ -285,7 +348,12 @@ def forest_join(
         s.drs,
         tuple(_union_tree(x, y) for x, y in zip(s.trees, t.trees)),
     )
-    return j, complement(s, j), complement(t, j)
+    b, a, _, _ = _complements(s.trees, t.trees)
+    return (
+        j,
+        _unchecked(ExpansionForest, s.drs, tuple(b)),
+        _unchecked(ExpansionForest, s.drs, tuple(a)),
+    )
 
 
 def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:

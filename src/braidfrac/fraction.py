@@ -3,10 +3,18 @@
 An element is a triple (T, g, S): two expansion forests with the same base
 word and a digital braid from the leaves of T to the leaves of S, read as
 the fraction T g S^{-1}.  Multiplication pushes the middle factors through a
-common refinement: join the denominator of the left factor with the
-numerator of the right factor, cable each braid along the complement it
-meets, and graft the complements onto the outer forests.  Inversion swaps
-the forests and inverts the braid.
+common refinement.  One walk of the denominator S of the left factor and
+the numerator T' of the right factor (`drs._complements`) gives the
+complements B and A that complete them to their join, and the leaf word of
+each complement tree.  B moves along the strands of g to its top and A
+along those of g' to its bottom; each braid is cabled at its top by the
+leaf counts of the trees there (`braids._cable`), and the moved
+complements are grafted onto T and S'.  Cabling commutes with inversion,
+so g' is cabled as it stands rather than inverted, cabled and inverted
+back, and the product equals, letter for letter after free reduction, the
+composition of `forest_join`, `act_bottom`, `graft` and `compose`.  Its top
+and bottom are the moved leaf words; no forest is walked again.
+Inversion swaps the forests and inverts the braid.
 
 Four flavors share this arithmetic.  Braided uses arbitrary digital braids,
 PureBraided restricts to trivial strand permutations, Permutation keeps only
@@ -52,12 +60,13 @@ import enum
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .braids import (
     DEFAULT_STEP_BUDGET,
     BraidWord,
     DigitalBraid,
-    act_bottom,
+    _cable,
     free_reduce,
     lamination_sign,
     lamination_trivial,
@@ -68,18 +77,18 @@ from .drs import (
     ExpansionForest,
     ExpansionTree,
     Word,
+    _complements,
+    _graft,
     _unchecked,
     expand_at,
     forest_from_steps,
-    forest_join,
     format_steps,
-    graft,
     parse_steps,
     steps_of,
 )
 from .magnus import DEFAULT_DEGREE_CAP, pure_word_sign
 from .ordering import Comparison, Sign
-from .plmaps import realization_sign
+from .plmaps import _deviation_sign
 
 
 class FractionError(ValueError):
@@ -151,15 +160,34 @@ class FractionElement:
     def __mul__(self, other: "FractionElement") -> "FractionElement":
         if self.context != other.context:
             raise ContextMismatchError("elements live in different contexts")
-        j, b, a = forest_join(self.S, other.T)
-        bup, gb = act_bottom(self.g, b)
-        aup, ha = act_bottom(other.g.invert(), a)
+        # B, A complete self.S and other.T to their join; B moves to the top
+        # of self.g and A to the bottom of other.g along the strands
+        b, a, b_words, a_words = _complements(self.S.trees, other.T.trees)
+        perm = self.g.word.permutation()
+        bup = [b[p - 1] for p in perm]
+        top_words = [b_words[p - 1] for p in perm]
+        adown = a[:]
+        bottom_words = a_words[:]
+        for i, p in enumerate(other.g.word.permutation()):
+            adown[p - 1] = a[i]
+            bottom_words[p - 1] = a_words[i]
+        letters = free_reduce(
+            _cable(self.g.word.letters, [len(w) for w in top_words])
+            + _cable(other.g.word.letters, [len(w) for w in a_words])
+        )
+        top = tuple(chain.from_iterable(top_words))
+        braid = _unchecked(
+            DigitalBraid,
+            top,
+            tuple(chain.from_iterable(bottom_words)),
+            _unchecked(BraidWord, max(len(top), 1), letters),
+        )
         return _unchecked(
             FractionElement,
             self.context,
-            graft(self.T, bup),
-            gb.compose(ha.invert()),
-            graft(other.S, aup),
+            _graft(self.T, bup),
+            braid,
+            _graft(other.S, adown),
         )
 
     def invert(self) -> "FractionElement":
@@ -195,8 +223,12 @@ class FractionElement:
         sign first, then the Magnus sign of the braid factor, bounded by
         `degree_cap` (DegreeCapExceeded).  Plain: the PL sign.  The PL sign
         is `realization_sign(T, S)`, read off the two forests without
-        building the PL map.  `budget`, the handle-reduction step budget,
-        is accepted and ignored: no flavor's sign runs handle reduction.
+        building the PL map.  Its check of equal sources and leaf words is
+        skipped: both forests have the base as source, and the PL sign is
+        taken only when the braid is pure (pure flavor) or trivial (braided
+        and plain), whose top T.leaves() then equals its bottom S.leaves().
+        `budget`, the handle-reduction step budget, is accepted and
+        ignored: no flavor's sign runs handle reduction.
         """
         flavor = self.context.flavor
         if flavor not in ORDERABLE_FLAVORS:
@@ -208,7 +240,7 @@ class FractionElement:
             # quotient-first: the pure group splits as kernel-by-plain, and
             # only the quotient-first lexicographic order is two-sided
             # invariant (the braid-first cone is merely a left order)
-            q = realization_sign(self.T, self.S)
+            q = _deviation_sign(self.T, self.S)
             if q is not Sign.ZERO:
                 return q
             return pure_word_sign(
@@ -217,7 +249,7 @@ class FractionElement:
         s = lamination_sign(self.g.word)
         if s is not Sign.ZERO:
             return s
-        return realization_sign(self.T, self.S)
+        return _deviation_sign(self.T, self.S)
 
     def compare(
         self,

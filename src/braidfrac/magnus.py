@@ -372,6 +372,8 @@ def pure_word_sign(
     `DegreeCapExceeded` can only arise there: a word decided by its
     linking numbers is one `free_word_sign` decides at degree 1."""
     _check_pure_word(letters, n)
+    if not letters:
+        return Sign.ZERO
     m = n + 1
     at = list(range(m))  # at[p] = strand (top position) at position p
     twice_lk = [0] * (m * m)  # 2 lk(j, k) at k * m + j, j < k

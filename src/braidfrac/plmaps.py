@@ -199,6 +199,12 @@ def realization_sign(t: ExpansionForest, s: ExpansionForest) -> Sign:
     forests left to right to the first node expanded in one of them only;
     the pair is positive iff t has the leaf there."""
     _check_pair(t, s)
+    return _deviation_sign(t, s)
+
+
+def _deviation_sign(t: ExpansionForest, s: ExpansionForest) -> Sign:
+    """The walk of `realization_sign` without its check: the caller knows
+    that t and s have the same source and the same leaf word."""
     stack = list(zip(reversed(t.trees), reversed(s.trees)))
     while stack:
         a, b = stack.pop()

@@ -196,12 +196,20 @@ def test_bh1_unreachable_target(capsys):
 
 
 @pytest.mark.parametrize(
-    "expr, field",
-    [("bh1(a; [])", "'a'"), ("bh2(z; 1)", "'z'"), ("bh2(1; 1 x)", "'x'")],
+    "expr, field, column",
+    [
+        pytest.param(expr, field, column, id=f"{expr}-{field}")
+        for expr, field, column in (
+            ("bh1(a; [])", "'a'", 5),
+            ("bh2(z; 1)", "'z'", 5),
+            ("bh2(1; 1 x)", "'x'", 8),
+        )
+    ],
 )
-def test_bh_integer_fields_are_usage_errors(capsys, expr, field):
+def test_bh_integer_fields_are_usage_errors(capsys, expr, field, column):
+    # the column is where the offending field starts
     code, _, err = run(capsys, "sign", "--drs", "houghton:3", expr)
-    assert code == 2 and err.startswith("error: at column "), err
+    assert code == 2 and err.startswith(f"error: at column {column}: "), err
     assert "expected an integer" in err and field in err
 
 

@@ -148,6 +148,8 @@ def test_join_is_common_upper_bound(thompson2):
             j, b, a = forest_join(s, t)
             assert graft(s, b) == j
             assert graft(t, a) == j
+            assert b == complement(s, j)
+            assert a == complement(t, j)
 
 
 def test_join_is_least(thompson2):

@@ -13,6 +13,7 @@ from braidfrac.drs import (
     expand_at,
     forest_from_steps,
     forest_join,
+    graft,
 )
 from braidfrac.families import thompson_drs
 from braidfrac.fraction import (
@@ -226,6 +227,37 @@ def test_identity_and_zero_sign_cross_oracle(thompson2, houghton3, flavor):
                 assert (e.sign() is Sign.ZERO) == ident
                 seen[ident] += 1
     assert seen[True] and seen[False]
+
+
+def _composed(x, y):
+    """(T, g, S) of x * y through the public operations: join the middle
+    forests, cable each braid along its complement, graft, compose."""
+    _, b, a = forest_join(x.S, y.T)
+    bup, gb = act_bottom(x.g, b)
+    aup, ha = act_bottom(y.g.invert(), a)
+    return graft(x.T, bup), gb.compose(ha.invert()), graft(y.S, aup)
+
+
+@pytest.mark.parametrize("flavor", [f.value for f in Flavor])
+def test_product_matches_composition(thompson2, houghton3, edge2, flavor):
+    # the one-pass product builds the same forests and the same braid,
+    # letter for letter, as the composition of the public operations
+    products = 0
+    for drs in (thompson2, thompson_drs(3), houghton3, edge2):
+        context = make_context(drs, flavor)
+        elements = [random_element(context, 4, seed) for seed in range(10)]
+        differences = [x.invert() * y for x in elements[:4] for y in elements[8:]]
+        pool = elements + differences
+        for x in pool:
+            for y in pool:
+                p = x * y
+                t, g, s = _composed(x, y)
+                assert p.T == t and p.S == s
+                assert (p.g.top, p.g.bottom) == (g.top, g.bottom)
+                assert p.g.word.letters == g.word.letters
+                assert p.g.word.strands == g.word.strands
+                products += 1
+    assert products >= 500
 
 
 def _rebuilt(value):

@@ -290,6 +290,7 @@ def test_pure_sign_matches_combing(monkeypatch):
 
 
 def test_pure_sign_named_values():
+    assert pure_word_sign((), 4, 0) is Sign.ZERO
     for n in range(2, 7):
         for k in range(2, n + 1):
             for j in range(1, k):
