@@ -266,6 +266,23 @@ def _leaf_nodes(tree: ExpansionTree, out: list[ExpansionTree]) -> None:
         _leaf_nodes(c, out)
 
 
+def _cover(
+    big: ExpansionTree,
+    trees: list[ExpansionTree],
+    words: list[Word],
+    leaf_trees: list[ExpansionTree],
+    leaf_words: list[Word],
+) -> None:
+    """Record `big` as one complement tree, with its leaf word, and each of
+    its leaves as a one-leaf complement tree of the other forest."""
+    leaves: list[ExpansionTree] = []
+    _leaf_nodes(big, leaves)
+    trees.append(big)
+    words.append(tuple(x.label for x in leaves))
+    leaf_trees.extend(leaves)
+    leaf_words.extend((x.label,) for x in leaves)
+
+
 def _complements(
     s_trees: tuple[ExpansionTree, ...], t_trees: tuple[ExpansionTree, ...]
 ) -> tuple[list[ExpansionTree], list[ExpansionTree], list[Word], list[Word]]:
@@ -283,26 +300,18 @@ def _complements(
     a_trees: list[ExpansionTree] = []
     b_words: list[Word] = []
     a_words: list[Word] = []
-
-    def cover(big, trees, words, leaf_trees, leaf_words) -> None:
-        leaves: list[ExpansionTree] = []
-        _leaf_nodes(big, leaves)
-        trees.append(big)
-        words.append(tuple(x.label for x in leaves))
-        leaf_trees.extend(leaves)
-        leaf_words.extend((x.label,) for x in leaves)
-
-    def walk(s: ExpansionTree, t: ExpansionTree) -> None:
+    # an explicit stack rather than a nested recursive function, whose
+    # closure would refer to itself and leave a reference cycle per call
+    # for the garbage collector
+    stack = list(zip(reversed(s_trees), reversed(t_trees)))
+    while stack:
+        s, t = stack.pop()
         if s.children and t.children:
-            for x, y in zip(s.children, t.children):
-                walk(x, y)
+            stack.extend(zip(reversed(s.children), reversed(t.children)))
         elif s.children:
-            cover(s, a_trees, a_words, b_trees, b_words)
+            _cover(s, a_trees, a_words, b_trees, b_words)
         else:
-            cover(t, b_trees, b_words, a_trees, a_words)
-
-    for s, t in zip(s_trees, t_trees):
-        walk(s, t)
+            _cover(t, b_trees, b_words, a_trees, a_words)
     return b_trees, a_trees, b_words, a_words
 
 
