@@ -148,16 +148,17 @@ class ExpansionTree:
 
     @property
     def leaf_count(self) -> int:
-        """Number of leaves; stored on first read for internal nodes (a
-        plain dict entry, which `functools.cached_property` would guard
-        with a lock on Python < 3.12)."""
+        """Number of leaves; stored on first read for internal nodes as a
+        plain attribute.  `functools.cached_property` would guard it with a
+        lock on Python < 3.12, and writing through `__dict__` would make
+        CPython give up the node's compact attribute storage, which slows
+        every later attribute read on the node."""
         if not self.children:
             return 1
-        n = self.__dict__.get("_leaf_count")
+        n = getattr(self, "_leaf_count", None)
         if n is None:
-            n = self.__dict__["_leaf_count"] = sum(
-                c.leaf_count for c in self.children
-            )
+            n = sum(c.leaf_count for c in self.children)
+            object.__setattr__(self, "_leaf_count", n)
         return n
 
 
@@ -371,26 +372,31 @@ def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
     total = forest.leaf_count()
     if not 1 <= position <= total:
         raise DrsError(f"position {position} out of range 1..{total}")
-    drs = forest.drs
-    counter = position  # counts down while scanning leaves left to right
-
-    def rebuild(tree: ExpansionTree) -> ExpansionTree:
-        nonlocal counter
-        if not tree.children:
-            counter -= 1
-            if counter == 0:
-                rule = drs.rule_for(tree.label)
-                if rule is None:
-                    raise DrsError(
-                        f"letter {tree.label!r} at position {position} has no rule"
-                    )
-                return ExpansionTree(
-                    tree.label, tuple(ExpansionTree(u) for u in rule.rhs)
-                )
-            return tree
-        return ExpansionTree(tree.label, tuple(rebuild(c) for c in tree.children))
-
-    return _unchecked(ExpansionForest, drs, tuple(rebuild(t) for t in forest.trees))
+    # descend by leaf counts to the leaf, then rebuild only the nodes on the
+    # path; a nested recursive function would refer to itself and leave a
+    # reference cycle per call for the garbage collector
+    path: list[tuple[tuple[ExpansionTree, ...], int]] = []
+    row, rest = forest.trees, position
+    while True:
+        i = 0
+        while rest > row[i].leaf_count:
+            rest -= row[i].leaf_count
+            i += 1
+        path.append((row, i))
+        if not row[i].children:
+            break
+        row = row[i].children
+    leaf = row[i]
+    rule = forest.drs.rule_for(leaf.label)
+    if rule is None:
+        raise DrsError(f"letter {leaf.label!r} at position {position} has no rule")
+    node = ExpansionTree(leaf.label, tuple(ExpansionTree(u) for u in rule.rhs))
+    while len(path) > 1:
+        row, i = path.pop()
+        above, j = path[-1]
+        node = ExpansionTree(above[j].label, row[:i] + (node,) + row[i + 1 :])
+    row, i = path[0]
+    return _unchecked(ExpansionForest, forest.drs, row[:i] + (node,) + row[i + 1 :])
 
 
 def forest_from_steps(
@@ -406,19 +412,20 @@ def steps_of(forest: ExpansionForest) -> list[int]:
     """A step sequence replaying to `forest` (outermost-first, left to
     right)."""
     steps: list[int] = []
-
-    def emit(tree: ExpansionTree, pos: int) -> int:
-        if not tree.children:
-            return 1
-        steps.append(pos)
-        width = 0
-        for child in tree.children:
-            width += emit(child, pos + width)
-        return width
-
-    pos = 1
-    for t in forest.trees:
-        pos += emit(t, pos)
+    # each node with the position of its first leaf, pushed right to left
+    stack: list[tuple[ExpansionTree, int]] = []
+    end = 1 + forest.leaf_count()
+    for t in reversed(forest.trees):
+        end -= t.leaf_count
+        stack.append((t, end))
+    while stack:
+        tree, pos = stack.pop()
+        if tree.children:
+            steps.append(pos)
+            end = pos + tree.leaf_count
+            for child in reversed(tree.children):
+                end -= child.leaf_count
+                stack.append((child, end))
     return steps
 
 

@@ -122,8 +122,14 @@ def bh_type2(context: Word, i: int, braid: BraidWord) -> DigitalBraid:
 
 def family_drs(name: str) -> DigitRewritingSystem:
     """Resolve `thompson:<n>` and `houghton:<n>` family names."""
-    if name.startswith("thompson:"):
-        return thompson_drs(int(name.split(":", 1)[1]))
-    if name.startswith("houghton:"):
-        return houghton_drs(int(name.split(":", 1)[1]))
-    raise DrsError(f"unknown family {name!r}")
+    family, colon, count = name.partition(":")
+    make = {"thompson": thompson_drs, "houghton": houghton_drs}.get(family)
+    if make is None or not colon:
+        raise DrsError(f"unknown family {name!r}")
+    try:
+        n = int(count)
+    except ValueError:
+        raise DrsError(
+            f"family {family!r} needs an integer after ':', got {count!r}"
+        ) from None
+    return make(n)

@@ -1,21 +1,37 @@
 """Bi-order on pure braids: strand combing plus Magnus expansion.
 
-A pure braid on n strands decomposes by iteratively stripping its last
-strand.  Deleting strand n from a pure braid g gives a pure braid gbar on
-n-1 strands; reading the same word back on n strands and cancelling leaves a
-braid c = lift(gbar)^{-1} g in which strand n does all the moving.  Such a c
-lives in the free group on the generators A_{1n}, ..., A_{n-1,n} (strand n
-looping once around strand j), and the free word it spells is the level-n
-component of g.  Recursing on gbar produces one free word per level, level n
-first.
+A pure braid g on n strands decomposes by iteratively stripping its last
+strand.  Let g_k be g with strands k+1..n deleted, so g_n = g.  Deleting
+strand k from g_k gives g_{k-1}; read back on k strands, with strand k
+running straight down, its word is a braid lift(g_{k-1}), and
+c_k = lift(g_{k-1})^{-1} g_k is a braid in which strand k does all the
+moving.  Such a c_k lives in the free group U_k on the loops
+A_jk = `_loop_generator_word(j, k)`, j < k (strand k looping once around
+strand j), and the word it spells in them is the level-k component of g,
+written in x_1..x_{k-1} with x_j for A_jk.  Levels are listed from n down.
 
-The free word is extracted through the braid action on the free group:
-positive crossing k sends x_k to x_k x_{k+1} x_k^{-1} and x_{k+1} to x_k,
-other generators fixed, letters of the braid word applied left to right.
-For c as above the image of x_n is a conjugate W x_n W^{-1}; killing the
-letter x_n inside W gives the component, up to a change of basis.  The basis
-in which the component arrives is the image of the A_{jn} themselves, so we
-solve for the standard generators once per strand count and substitute.
+Components are read off the braid action on the free group on
+x_1..x_k: positive crossing i sends x_i to x_i x_{i+1} x_i^{-1} and x_{i+1}
+to x_i, other generators fixed, letters of the braid word applied left to
+right; write w.b for the image of w under b.  A pure braid b sends x_k to a
+conjugate W x_k W^{-1}, W unique up to a right factor x_k^m; erasing x_k
+from W (the map w -> bar(w) that kills x_k) gives e(b).  The level-k
+component is e(g_k), by two facts:
+
+1. e is the component map on U_k.  A_jk sends x_k to x_j x_k x_j^{-1}:
+   sigma_{k-1}..sigma_{j+1} carry x_k down to x_{j+1}, sigma_j^2 turns it
+   into x_j x_{j+1} x_j^{-1}, and the inverse letters carry x_{j+1} back up
+   to x_k and fix x_j.  So e(A_jk) = x_j.  Deleting strand k makes A_jk
+   trivial, and correspondingly bar(x_i.A_jk) = x_i for every i < k, so
+   bar(w.c) = bar(w) for all w and all c in U_k.  For b, c in U_k,
+   x_k.bc = (W_b.c) W_c x_k W_c^{-1} (W_b.c)^{-1}, hence
+   e(bc) = bar(W_b.c) e(c) = e(b) e(c): e is the homomorphism sending A_jk
+   to x_j, and the component comes out in the standard basis.
+2. The lift never touches x_k.  lift(g_{k-1}) uses only
+   sigma_1..sigma_{k-2}, which fix x_k, so
+   x_k.g_k = (x_k.lift(g_{k-1})).c_k = x_k.c_k and e(g_k) = e(c_k).
+   The images are the same freely reduced word, so the component is the
+   same letter for letter.
 
 Free words are then signed by the Magnus expansion x_i -> 1 + X_i into
 integer power series in noncommuting variables: order monomials by total
@@ -49,7 +65,6 @@ reference the tests and the `cone` suite check the order against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .braids import BraidWord, DigitalBraid, free_reduce, lamination_trivial
 from .drs import _unchecked
@@ -233,41 +248,12 @@ def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
     )
 
 
-def _substitute(word: FreeWord, table: dict[int, FreeWord]) -> FreeWord:
-    out: list[int] = []
-    for t in word:
-        out.extend(table[t] if t > 0 else invert_free(table[-t]))
-    return free_reduce(tuple(out))
-
-
-def _raw_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
-    """Free word (in the twisted basis) traced by strand k of a braid that
-    trivializes when strand k is deleted."""
+def _level_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
+    """Level-k component of a pure braid word on k strands: the conjugator
+    of x_k in its image, with x_k erased (facts 1 and 2 above)."""
     image = artin_image(braid_letters, (k,))
     conjugator = _peel_conjugator(image, k)
     return free_reduce(tuple(t for t in conjugator if abs(t) != k))
-
-
-@lru_cache(maxsize=None)
-def _standard_basis(k: int) -> dict[int, FreeWord]:
-    """Expressions of the standard free generators x_j (strand k looping
-    around strand j) in terms of the raw components, for j = 1..k-1."""
-    exprs: dict[int, FreeWord] = {}
-    for j in range(k - 1, 0, -1):
-        raw = _raw_component(_loop_generator_word(j, k), k)
-        u = _peel_conjugator(raw, j)
-        if any(abs(t) <= j for t in u):
-            raise MagnusError(
-                f"basis triangularity failed at strand {k}, generator {j}"
-            )
-        sub_u = _substitute(u, exprs)
-        exprs[j] = free_reduce(invert_free(sub_u) + (j,) + sub_u)
-    return exprs
-
-
-def _level_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
-    raw = _raw_component(braid_letters, k)
-    return _substitute(raw, _standard_basis(k))
 
 
 @dataclass(frozen=True)
@@ -286,14 +272,12 @@ def _check_pure_word(letters: tuple[int, ...], n: int) -> None:
 
 
 def _level_words(letters: tuple[int, ...], n: int):
-    """Yield (k, c_letters) per level, c_letters a pure word on k strands
-    trivialized by deleting strand k."""
+    """Yield (k, g_k) per level, level n first: g_k is the word left after
+    deleting strands k+1..n, whose level-k component is that of g."""
     w = free_reduce(letters)
     for k in range(n, 1, -1):
-        wbar = delete_strand(w, k, k)
-        lift_inv = tuple(-d for d in reversed(wbar))
-        yield k, free_reduce(lift_inv + w)
-        w = wbar
+        yield k, w
+        w = delete_strand(w, k, k)
 
 
 def comb_word(letters: tuple[int, ...], n: int) -> CombedForm:
@@ -319,7 +303,7 @@ def recombine(form: CombedForm, n: int | None = None) -> BraidWord:
         tail: list[int] = []
         for t in component:
             gen = _loop_generator_word(abs(t), k)
-            tail.extend(gen if t > 0 else tuple(-d for d in reversed(gen)))
+            tail.extend(gen if t > 0 else invert_free(gen))
         word = free_reduce(word + tuple(tail))
         k += 1
     return BraidWord(n, word)
@@ -353,23 +337,21 @@ def pure_word_sign(
     after deleting strands k+1..n, the level-k component c_k satisfies
     g_k = lift(g_{k-1}) c_k, and the lift runs strand k straight down at
     position k, crossing nothing; so lk(j, k)(c_k) = lk(j, k)(g_k) =
-    lk(j, k)(g).  (iii) The loop A_ik = `_loop_generator_word(i, k)`, the
-    x_i of `_standard_basis(k)`, crosses strand k with strands i+1..k-1
-    once with each sign and with strand i twice positively, so
-    lk(j, k)(A_ik) = delta_ij.  Hence lk(j, k) is the exponent sum of x_j
-    in c_k, which is its degree-1 Magnus coefficient.  (iv) The deciding
-    level is the lowest k with g_k nontrivial, and a trivial g_k has a
-    trivial g_{k-1}.  Start at the lowest level k with some lk(j, k) != 0,
-    where g_k is nontrivial by (ii), or at n+1 if there is none, and step
-    down while g_{k-1}, the braid left after deleting strands k..n, is
-    nontrivial by the lamination.  The walk stops at the deciding level, or
-    at n+1 when the whole braid is trivial and signs zero.  There g_{k-1}
-    is trivial, so lift(g_{k-1}) is too, and g_k = c_k: the word of g_k is
-    its own level-k component.  If some lk(j, k) != 0, c_k decides at
-    degree 1: the least monomial with a nonzero coefficient is X_j0, j0 the
-    least j with lk(j0, k) != 0, and the sign is that of lk(j0, k).
-    Otherwise g_k alone is combed and signed by `free_word_sign`, so
-    `DegreeCapExceeded` can only arise there: a word decided by its
+    lk(j, k)(g).  (iii) The loop A_ik, which is x_i at level k, crosses
+    strand k with strands i+1..k-1 once with each sign and with strand i
+    twice positively, so lk(j, k)(A_ik) = delta_ij.  Hence lk(j, k) is the
+    exponent sum of x_j in c_k, its degree-1 Magnus coefficient.  (iv) The
+    deciding level is the lowest k with g_k nontrivial, and a trivial g_k
+    has a trivial g_{k-1}.  Start at the lowest level k with some
+    lk(j, k) != 0, where g_k is nontrivial by (ii), or at n+1 if there is
+    none, and step down while g_{k-1}, the braid left after deleting
+    strands k..n, is nontrivial by the lamination.  The walk stops at the
+    deciding level, or at n+1 when the whole braid is trivial and signs
+    zero.  If some lk(j, k) != 0, c_k decides at degree 1: the least
+    monomial with a nonzero coefficient is X_j0, j0 the least j with
+    lk(j0, k) != 0, and the sign is that of lk(j0, k).  Otherwise c_k alone
+    is read off g_k, as combing reads it, and signed by `free_word_sign`,
+    so `DegreeCapExceeded` can only arise there: a word decided by its
     linking numbers is one `free_word_sign` decides at degree 1."""
     _check_pure_word(letters, n)
     if not letters:

@@ -146,17 +146,17 @@ def _leaf_ends(forest: ExpansionForest) -> list[Fraction]:
     """Right end of each leaf interval of the equal-width subdivision of
     [0, source length], left to right."""
     ends: list[Fraction] = []
-
-    def walk(tree, lo: Fraction, hi: Fraction) -> None:
+    # an explicit stack of (node, interval), pushed right to left
+    stack = [(t, Fraction(i), Fraction(i + 1)) for i, t in enumerate(forest.trees)]
+    stack.reverse()
+    while stack:
+        tree, lo, hi = stack.pop()
         if not tree.children:
             ends.append(hi)
-            return
-        k = len(tree.children)
-        for i, child in enumerate(tree.children, start=1):
-            walk(child, lo + (hi - lo) * (i - 1) / k, lo + (hi - lo) * i / k)
-
-    for i, tree in enumerate(forest.trees):
-        walk(tree, Fraction(i), Fraction(i + 1))
+            continue
+        width = (hi - lo) / len(tree.children)
+        for i in range(len(tree.children) - 1, -1, -1):
+            stack.append((tree.children[i], lo + width * i, lo + width * (i + 1)))
     return ends
 
 

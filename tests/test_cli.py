@@ -343,6 +343,14 @@ def test_missing_base_errors(tmp_path, capsys):
     assert code == 2 and "base" in err
 
 
+@pytest.mark.parametrize("name", ["thompson:x", "houghton:"])
+def test_bad_family_count_is_usage_error(capsys, name):
+    code, _, err = run(capsys, "sign", "--drs", name, "frac T=[] B=[] S=[]")
+    assert code == 2
+    assert err.startswith("error: ") and name.split(":")[0] in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_errors(capsys):
     code, _, err = run(capsys, "sign", "--drs", "/nonexistent.drs", "frac T=[] B=[] S=[]")
     assert code == 2

@@ -42,6 +42,10 @@ def test_family_names():
     assert family_drs("houghton:2").base == ("y1", "y2")
     with pytest.raises(DrsError):
         family_drs("dihedral:5")
+    # a count that is not an integer names the family, not a bare ValueError
+    for name in ("thompson:x", "houghton:", "thompson"):
+        with pytest.raises(DrsError, match="thompson|houghton"):
+            family_drs(name)
 
 
 def test_edge_shift():

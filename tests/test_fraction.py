@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 import random
@@ -14,6 +16,7 @@ from braidfrac.drs import (
     forest_from_steps,
     forest_join,
     graft,
+    steps_of,
 )
 from braidfrac.families import thompson_drs
 from braidfrac.fraction import (
@@ -30,6 +33,7 @@ from braidfrac.fraction import (
     random_element,
 )
 from braidfrac.ordering import Comparison, Sign
+from braidfrac.plmaps import realize_pair
 from conftest import make_context
 
 
@@ -194,6 +198,32 @@ def test_random_element_respects_flavor(t2_pure, t2_plain):
     for seed in range(8):
         assert random_element(t2_pure, 4, seed).g.is_pure()
         assert random_element(t2_plain, 4, seed).g.word.letters == ()
+
+
+def test_tree_walks_leave_no_reference_cycles(t2_braided, h3_pure):
+    # the walks over expansion trees run on explicit stacks or loops: a
+    # nested function calling itself would leave a reference cycle per call
+    # that only the cyclic garbage collector frees
+    gc.collect()
+    gc.disable()
+    try:
+        for context in (t2_braided, h3_pure):
+            drs = context.drs
+            for seed in range(20):
+                e = random_element(context, 4, seed)
+                assert parse_element(context, format_element(e)) == e
+                assert forest_from_steps(drs, context.base, steps_of(e.T)) == e.T
+                p = next(
+                    p
+                    for p, letter in enumerate(e.S.leaves(), start=1)
+                    if drs.rule_for(letter) is not None
+                )
+                assert expand_at(e.S, p).leaf_count() > e.S.leaf_count()
+                realize_pair(e.T, e.S)
+        collected = gc.collect()
+    finally:
+        gc.enable()
+    assert collected == 0
 
 
 def test_group_laws_random(h3_braided):

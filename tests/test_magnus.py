@@ -31,6 +31,7 @@ from braidfrac.magnus import (
     NcPolynomial,
     _comb_sign,
     _level_component,
+    artin_image,
     comb,
     comb_word,
     delete_strand,
@@ -100,6 +101,16 @@ def test_combing_standard_generator():
     assert form.components == ((1,), ())
     assert not form.is_trivial()
     assert comb_word((), 3).is_trivial()
+    # A_jk sends x_k to x_j x_k x_j^-1, so its component is x_j at level k:
+    # the components come out in the standard basis
+    for k in range(2, 9):
+        for j in range(1, k):
+            assert artin_image(a_jk(j, k), (k,)) == (j, k, -j)
+            for n in (k, k + 1):
+                components = comb_word(a_jk(j, k), n).components
+                assert components == tuple(
+                    (j,) if level == k else () for level in range(n, 1, -1)
+                )
 
 
 def test_comb_rejects_non_pure():
@@ -126,7 +137,7 @@ def test_delete_strand():
 def test_recombine_inverts_comb():
     rng = random.Random(23)
     for _ in range(40):
-        n = rng.randint(2, 5)
+        n = rng.randint(2, 7)
         letters = random_pure_word(rng, n, rng.randint(0, 4))
         w = BraidWord(n, letters)
         back = recombine(comb_word(letters, n), n)
