@@ -343,7 +343,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_inv)
 
-    p = sub.add_parser("normalize", help="cancel matched carets")
+    p = sub.add_parser("normalize", help="cancel the carets the braid carries as one cable")
     _add_common(p)
     p.add_argument("expr")
     p.set_defaults(func=_cmd_normalize)

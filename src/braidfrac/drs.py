@@ -19,7 +19,8 @@ form groups of fractions further up the stack.  `complement` subtracts one
 forest from a given upper bound.  The complements into the join come from
 one walk of the two forests (`_complements`), which never builds the join
 and also gives the leaf word of each complement tree; `forest_join` and the
-product of fractions both use it, and `complement` is its reference.
+product of fractions both use it, `forest_join` builds the join as the graft
+of one complement onto its forest, and `complement` is the reference.
 
 Positions in step sequences are 1-based: ``[2, 1]`` means "expand the letter
 at position 2 of the source word, then the letter at position 1 of the
@@ -42,7 +43,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, TypeVar
+from itertools import accumulate
+from typing import TypeVar
 
 Word = tuple[str, ...]
 
@@ -70,6 +72,7 @@ class SystemMismatchError(DrsError):
 
 
 _T = TypeVar("_T")
+_set_field = object.__setattr__  # past the frozen dataclasses' guard
 
 
 def _unchecked(cls: type[_T], *values: object) -> _T:
@@ -78,7 +81,10 @@ def _unchecked(cls: type[_T], *values: object) -> _T:
     `__post_init__` validation.  Only for values derived by the library's
     own operations from values that were already checked."""
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    # field by field rather than through `obj.__dict__`, which would make
+    # CPython give up the instance's compact attribute storage
+    for name, value in zip(cls.__dataclass_fields__, values):
+        _set_field(obj, name, value)
     return obj
 
 
@@ -93,10 +99,6 @@ class RewriteRule:
                 f"rule {self.lhs} -> {' '.join(self.rhs)}: right side must "
                 f"have length >= 2, got {len(self.rhs)}"
             )
-
-    @property
-    def arity(self) -> int:
-        return len(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -218,23 +220,41 @@ def _check_same_system(a: ExpansionForest, b: ExpansionForest) -> None:
         )
 
 
-def _graft_tree(tree: ExpansionTree, it: Iterator[ExpansionTree]) -> ExpansionTree:
-    if not tree.children:
-        return next(it)
-    return ExpansionTree(tree.label, tuple(_graft_tree(c, it) for c in tree.children))
+def _graft_row(
+    row: tuple[ExpansionTree, ...],
+    trees: list[ExpansionTree] | tuple[ExpansionTree, ...],
+    start: int,
+    deep: list[int],
+) -> tuple[ExpansionTree, ...]:
+    """The trees of `row`, whose leaves are leaves start+1.. of their
+    forest, with each leaf replaced by its tree in `trees`; a tree under
+    which every grafted tree is a leaf is kept as it is.  deep[i] counts
+    the non-leaf trees in trees[:i]."""
+    out = []
+    for t in row:
+        end = start + t.leaf_count
+        if deep[end] == deep[start]:
+            out.append(t)
+        elif not t.children:
+            out.append(trees[start])
+        else:
+            out.append(
+                ExpansionTree(t.label, _graft_row(t.children, trees, start, deep))
+            )
+        start = end
+    return tuple(out)
 
 
 def _graft(
     first: ExpansionForest, trees: list[ExpansionTree] | tuple[ExpansionTree, ...]
 ) -> ExpansionForest:
     """`first` with its i-th leaf replaced by trees[i], each rooted at that
-    leaf's label; `first` itself when every tree is a leaf, since grafting
-    would rebuild it unchanged."""
-    if not any(t.children for t in trees):
+    leaf's label; `first` itself when every tree is a leaf."""
+    deep = [0, *accumulate(1 if t.children else 0 for t in trees)]
+    if not deep[-1]:
         return first
-    it = iter(trees)
     return _unchecked(
-        ExpansionForest, first.drs, tuple(_graft_tree(t, it) for t in first.trees)
+        ExpansionForest, first.drs, _graft_row(first.trees, trees, 0, deep)
     )
 
 
@@ -247,16 +267,6 @@ def graft(first: ExpansionForest, second: ExpansionForest) -> ExpansionForest:
             f"leaves {first.leaves()} do not match source {second.source}"
         )
     return _graft(first, second.trees)
-
-
-def _union_tree(a: ExpansionTree, b: ExpansionTree) -> ExpansionTree:
-    if not a.children:
-        return b
-    if not b.children:
-        return a
-    return ExpansionTree(
-        a.label, tuple(_union_tree(x, y) for x, y in zip(a.children, b.children))
-    )
 
 
 def _leaf_nodes(tree: ExpansionTree, out: list[ExpansionTree]) -> None:
@@ -353,29 +363,21 @@ def forest_join(
     _check_same_system(s, t)
     if s.source != t.source:
         raise SourceMismatchError(f"sources differ: {s.source} vs {t.source}")
-    j = _unchecked(
-        ExpansionForest,
-        s.drs,
-        tuple(_union_tree(x, y) for x, y in zip(s.trees, t.trees)),
-    )
     b, a, _, _ = _complements(s.trees, t.trees)
     return (
-        j,
+        _graft(s, b),
         _unchecked(ExpansionForest, s.drs, tuple(b)),
         _unchecked(ExpansionForest, s.drs, tuple(a)),
     )
 
 
-def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
-    """Apply the rule at the 1-based leaf `position` of the current target
-    word."""
-    total = forest.leaf_count()
-    if not 1 <= position <= total:
-        raise DrsError(f"position {position} out of range 1..{total}")
-    # descend by leaf counts to the leaf, then rebuild only the nodes on the
-    # path; a nested recursive function would refer to itself and leave a
-    # reference cycle per call for the garbage collector
-    path: list[tuple[tuple[ExpansionTree, ...], int]] = []
+_Path = list[tuple[tuple[ExpansionTree, ...], int]]
+
+
+def _leaf_path(forest: ExpansionForest, position: int) -> _Path:
+    """The rows and indices from a root of `forest` down to its leaf at the
+    1-based `position`, found by descending on leaf counts."""
+    path: _Path = []
     row, rest = forest.trees, position
     while True:
         i = 0
@@ -384,19 +386,63 @@ def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
             i += 1
         path.append((row, i))
         if not row[i].children:
-            break
+            return path
         row = row[i].children
-    leaf = row[i]
-    rule = forest.drs.rule_for(leaf.label)
-    if rule is None:
-        raise DrsError(f"letter {leaf.label!r} at position {position} has no rule")
-    node = ExpansionTree(leaf.label, tuple(ExpansionTree(u) for u in rule.rhs))
+
+
+def _replace_on_path(
+    forest: ExpansionForest, path: _Path, node: ExpansionTree
+) -> ExpansionForest:
+    """`forest` with the node at the end of `path` replaced by `node`; only
+    the nodes on the path are rebuilt, and `path` is used up.  This rebuild
+    and the descent of `_leaf_path` are loops: a nested recursive function
+    would refer to itself and leave a reference cycle per call for the
+    garbage collector."""
     while len(path) > 1:
         row, i = path.pop()
         above, j = path[-1]
         node = ExpansionTree(above[j].label, row[:i] + (node,) + row[i + 1 :])
     row, i = path[0]
     return _unchecked(ExpansionForest, forest.drs, row[:i] + (node,) + row[i + 1 :])
+
+
+def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
+    """Apply the rule at the 1-based leaf `position` of the current target
+    word."""
+    total = forest.leaf_count()
+    if not 1 <= position <= total:
+        raise DrsError(f"position {position} out of range 1..{total}")
+    path = _leaf_path(forest, position)
+    row, i = path[-1]
+    rule = forest.drs.rule_for(row[i].label)
+    if rule is None:
+        raise DrsError(f"letter {row[i].label!r} at position {position} has no rule")
+    node = ExpansionTree(row[i].label, tuple(ExpansionTree(u) for u in rule.rhs))
+    return _replace_on_path(forest, path, node)
+
+
+def _collapse_caret(forest: ExpansionForest, position: int) -> ExpansionForest:
+    """`forest` with the caret over its leaf at the 1-based `position` (the
+    parent of that leaf, whose children are all leaves) made a leaf."""
+    path = _leaf_path(forest, position)[:-1]
+    row, i = path[-1]
+    return _replace_on_path(forest, path, ExpansionTree(row[i].label))
+
+
+def _carets(forest: ExpansionForest) -> list[tuple[int, ExpansionTree]]:
+    """The carets of `forest`, nodes whose children are all leaves, each
+    with the number of leaves left of it."""
+    out: list[tuple[int, ExpansionTree]] = []
+    stack = [(forest.trees, 0)]  # rows of siblings, with the leaves left of each
+    while stack:
+        row, start = stack.pop()
+        for t in row:
+            if any(c.children for c in t.children):
+                stack.append((t.children, start))
+            elif t.children:
+                out.append((start, t))
+            start += t.leaf_count
+    return out
 
 
 def forest_from_steps(

@@ -14,7 +14,9 @@ so g' is cabled as it stands rather than inverted, cabled and inverted
 back, and the product equals, letter for letter after free reduction, the
 composition of `forest_join`, `act_bottom`, `graft` and `compose`.  Its top
 and bottom are the moved leaf words; no forest is walked again.
-Inversion swaps the forests and inverts the braid.
+Inversion swaps the forests and inverts the braid.  `normalize` runs the
+same relation backwards: it cancels a caret of T against one of S wherever
+the braid carries the caret's strands as one cable, until none cancels.
 
 Four flavors share this arithmetic.  Braided uses arbitrary digital braids,
 PureBraided restricts to trivial strand permutations, Permutation keeps only
@@ -75,8 +77,9 @@ from .drs import (
     DigitRewritingSystem,
     DrsError,
     ExpansionForest,
-    ExpansionTree,
     Word,
+    _carets,
+    _collapse_caret,
     _complements,
     _graft,
     _unchecked,
@@ -86,7 +89,7 @@ from .drs import (
     parse_steps,
     steps_of,
 )
-from .magnus import DEFAULT_DEGREE_CAP, pure_word_sign
+from .magnus import DEFAULT_DEGREE_CAP, delete_strand, pure_word_sign
 from .ordering import Comparison, Sign
 from .plmaps import _deviation_sign
 
@@ -291,96 +294,64 @@ class FractionElement:
     # -- size control --
 
     def normalize(self) -> "FractionElement":
-        e = self
+        """The same element with every caret cancelled that the braid
+        carries as one cable.
+
+        For a forest C under the bottom of g, T g S^-1 = (T C') g^C (S C)^-1,
+        where C' is C moved along the strands of g to its top and g^C is g
+        cabled along C; `act_bottom` and the product use this relation.
+        Read backwards for one caret: a caret of T (a node whose children
+        are all leaves) labelled a, over top positions s+1..s+w, cancels
+        when
+        - g is the cable of g', the braid g with strands s+2..s+w deleted,
+          with widths 1 except w at position s+1; the lamination action
+          decides this exactly on g times the inverse of the cable;
+        - S has a caret labelled a over the bottom positions where those w
+          strands end.
+        Both carets then become leaves and g' is the braid.  The label
+        matters when two letters have the same right side, as in the edge
+        shift a: a b, b: a b.  A cable that no crossing touches always
+        passes; so in the plain flavor the rule cancels exactly the carets
+        that T and S share at the same positions.
+
+        The rule is applied until no caret cancels.  Cancelling one caret
+        keeps every other cancellable caret cancellable (deleting the
+        strands of one cable leaves g a cable along the other), so the
+        result does not depend on the order.
+        """
+        t, g, s = self.T, self.g, self.S
         while True:
-            cancelled = _cancel_once(e)
-            if cancelled is None:
-                return e
-            e = cancelled
+            n = g.word.strands
+            ends = g.word.permutation()
+            s_carets = dict(_carets(s))
+            for i, caret in _carets(t):
+                j = ends[i] - 1  # leaves of S left of where strand i+1 ends
+                match = s_carets.get(j)
+                if match is None or match.label != caret.label:
+                    continue
+                w = len(caret.children)
+                letters = delete_strand(g.word.letters, n, i + 2, i + w)
+                widths = [1] * (n - w + 1)
+                widths[i] = w
+                cable = _unchecked(BraidWord, n, _cable(letters, widths))
+                if lamination_trivial(g.word * cable.inverse()):
+                    break
+            else:
+                return _unchecked(FractionElement, self.context, t, g, s)
+            a = (caret.label,)
+            t = _collapse_caret(t, i + 1)
+            s = _collapse_caret(s, j + 1)
+            g = _unchecked(
+                DigitalBraid,
+                g.top[:i] + a + g.top[i + w :],
+                g.bottom[:j] + a + g.bottom[j + w :],
+                _unchecked(BraidWord, n - w + 1, letters),
+            )
 
 
 def identity_element(context: GroupContext) -> FractionElement:
     f = ExpansionForest.identity(context.drs, context.base)
     return FractionElement(context, f, DigitalBraid.identity(context.base), f)
-
-
-# --- caret cancellation ------------------------------------------------------
-
-def _collect_internal(
-    forest: ExpansionForest,
-) -> list[tuple[int, ExpansionTree, tuple[int, ...]]]:
-    items: list[tuple[int, ExpansionTree, tuple[int, ...]]] = []
-
-    def walk(node: ExpansionTree, path: tuple[int, ...], start: int) -> None:
-        if not node.children:
-            return
-        items.append((start, node, path))
-        off = start
-        for ci, child in enumerate(node.children):
-            walk(child, path + (ci,), off)
-            off += child.leaf_count
-
-    off = 0
-    for ti, tree in enumerate(forest.trees):
-        walk(tree, (ti,), off)
-        off += tree.leaf_count
-    return items
-
-
-def _replace_by_leaf(
-    forest: ExpansionForest, path: tuple[int, ...]
-) -> ExpansionForest:
-    def rebuild(node: ExpansionTree, rest: tuple[int, ...]) -> ExpansionTree:
-        if not rest:
-            return ExpansionTree(node.label)
-        ci = rest[0]
-        children = list(node.children)
-        children[ci] = rebuild(children[ci], rest[1:])
-        return ExpansionTree(node.label, tuple(children))
-
-    trees = list(forest.trees)
-    trees[path[0]] = rebuild(trees[path[0]], path[1:])
-    return ExpansionForest(forest.drs, tuple(trees))
-
-
-def _uninvolved_positions(word: BraidWord) -> set[int]:
-    """Top positions of strands that appear in no crossing (and hence never
-    move)."""
-    arr = list(range(1, word.strands + 1))
-    involved: set[int] = set()
-    for d in word.letters:
-        k = abs(d)
-        involved.add(arr[k - 1])
-        involved.add(arr[k])
-        arr[k - 1], arr[k] = arr[k], arr[k - 1]
-    return set(range(1, word.strands + 1)) - involved
-
-
-def _cancel_once(e: FractionElement) -> FractionElement | None:
-    quiet = _uninvolved_positions(e.g.word)
-    t_items = _collect_internal(e.T)
-    s_map = {(start, node): path for start, node, path in _collect_internal(e.S)}
-    t_items.sort(key=lambda item: -item[1].leaf_count)
-    for start, node, t_path in t_items:
-        s_path = s_map.get((start, node))
-        if s_path is None:
-            continue
-        w = node.leaf_count
-        if not all(p in quiet for p in range(start + 1, start + w + 1)):
-            continue
-        new_t = _replace_by_leaf(e.T, t_path)
-        new_s = _replace_by_leaf(e.S, s_path)
-        letters = tuple(
-            (abs(d) - (w - 1) if abs(d) > start + w else abs(d))
-            * (1 if d > 0 else -1)
-            for d in e.g.word.letters
-        )
-        n = e.g.word.strands - w + 1
-        braid = DigitalBraid(
-            new_t.leaves(), new_s.leaves(), BraidWord(max(n, 1), letters)
-        )
-        return FractionElement(e.context, new_t, braid, new_s)
-    return None
 
 
 # --- random generation --------------------------------------------------------

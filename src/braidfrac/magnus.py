@@ -210,20 +210,27 @@ def artin_image(braid_letters: tuple[int, ...], word: FreeWord) -> FreeWord:
     return w
 
 
-def delete_strand(letters: tuple[int, ...], n: int, strand: int) -> tuple[int, ...]:
-    """Remove every strand starting at top position `strand` or later,
-    dropping their crossings and reindexing the rest."""
+def delete_strand(
+    letters: tuple[int, ...], n: int, first: int, last: int
+) -> tuple[int, ...]:
+    """Remove the strands starting at top positions first..last, dropping
+    their crossings and reindexing the rest; freely reduced."""
     at = list(range(n + 1))  # at[p] = top position of the strand at position p
-    rank = [min(p, strand - 1) for p in range(n + 1)]  # kept strands at 1..p
+    keep = [p < first or p > last for p in range(n + 1)]  # by top position
+    # kept strands at positions 1..p
+    rank = [min(p, first - 1) + max(p - last, 0) for p in range(n + 1)]
     out: list[int] = []
     for d in letters:
         p = d if d > 0 else -d
         a, b = at[p], at[p + 1]
         at[p], at[p + 1] = b, a
-        if a < strand and b < strand:
-            out.append(rank[p] if d > 0 else -rank[p])
-        elif a < strand or b < strand:
-            rank[p] = rank[p - 1] + (b < strand)
+        if keep[a]:
+            if keep[b]:
+                out.append(rank[p] if d > 0 else -rank[p])
+            else:
+                rank[p] = rank[p - 1]
+        elif keep[b]:
+            rank[p] = rank[p - 1] + 1
     return free_reduce(tuple(out))
 
 
@@ -277,7 +284,7 @@ def _level_words(letters: tuple[int, ...], n: int):
     w = free_reduce(letters)
     for k in range(n, 1, -1):
         yield k, w
-        w = delete_strand(w, k, k)
+        w = delete_strand(w, k, k, k)
 
 
 def comb_word(letters: tuple[int, ...], n: int) -> CombedForm:
@@ -367,7 +374,7 @@ def pure_word_sign(
         twice_lk[i] += 1 if d > 0 else -1
     k = next((k for k in range(2, m) if any(twice_lk[k * m : k * m + k])), m)
     while not lamination_trivial(
-        _unchecked(BraidWord, k - 1, delete_strand(letters, n, k))
+        _unchecked(BraidWord, k - 1, delete_strand(letters, n, k, n))
     ):
         k -= 1
     if k == m:
@@ -375,7 +382,7 @@ def pure_word_sign(
     lk = next((x for x in twice_lk[k * m : k * m + k] if x), 0)
     if lk and degree_cap >= 1:  # below degree 1 combing decides nothing
         return Sign.POSITIVE if lk > 0 else Sign.NEGATIVE
-    g_k = delete_strand(letters, n, k + 1)
+    g_k = delete_strand(letters, n, k + 1, n)
     return free_word_sign(_level_component(g_k, k), degree_cap)
 
 

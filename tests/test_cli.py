@@ -376,7 +376,7 @@ def test_readme_command_examples(capsys):
         for i, line in enumerate(lines)
         if line.startswith("braidfrac ")
     ]
-    assert len(examples) == 5
+    assert len(examples) == 6
     for argv, expected in examples:
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv

@@ -11,6 +11,7 @@ import random
 from braidfrac.braids import BraidWord, DigitalBraid, act_bottom, handle_reduce
 from braidfrac.drs import (
     ExpansionForest,
+    _unchecked,
     complement,
     expand_at,
     forest_from_steps,
@@ -18,7 +19,7 @@ from braidfrac.drs import (
     graft,
     steps_of,
 )
-from braidfrac.families import thompson_drs
+from braidfrac.families import edge_shift_drs, thompson_drs
 from braidfrac.fraction import (
     ContextMismatchError,
     Flavor,
@@ -175,6 +176,47 @@ def test_normalize_strips_matched_carets(t2_braided):
     assert n.T.leaf_count() == 1
 
 
+def test_normalize_cancels_cabled_carets(t2_braided, t2_pure):
+    # the caret's two strands cross the third as one cable
+    for context, text, expected in (
+        (t2_braided, "frac T=[1 1] B=[2 1] S=[1 2]", "frac T=[1] B=[1] S=[1]"),
+        (t2_pure, "frac T=[1 1] B=[2 1 1 2] S=[1 1]", "frac T=[1] B=[1 1] S=[1]"),
+    ):
+        assert format_element(parse_element(context, text).normalize()) == expected
+
+
+@pytest.mark.parametrize("flavor", ["braided", "pure", "permutation", "plain"])
+def test_normalize_sweep(thompson2, houghton3, flavor):
+    # both letters of this edge shift rewrite to a b, so a caret of S under
+    # a cable can carry the wrong label
+    shared = edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",))
+    shrunk = 0
+    for drs in (thompson2, houghton3, shared):
+        ctx = make_context(drs, flavor)
+        for seed in range(30):
+            a, b, c = (random_element(ctx, 4, seed + k) for k in (0, 1000, 2000))
+            e = (c * a).invert() * (c * b)
+            n = e.normalize()
+            assert (e.invert() * n).is_identity()
+            if ctx.flavor is not Flavor.PERMUTATION:
+                assert n.sign() is e.sign()
+            checked = FractionElement(
+                ctx,
+                ExpansionForest(drs, n.T.trees),
+                DigitalBraid(
+                    n.T.leaves(),
+                    n.S.leaves(),
+                    BraidWord(n.g.word.strands, n.g.word.letters),
+                ),
+                ExpansionForest(drs, n.S.trees),
+            )
+            assert checked == n
+            assert n.normalize() == n
+            assert n.T.leaf_count() <= e.T.leaf_count()
+            shrunk += n.T.leaf_count() < e.T.leaf_count()
+    assert shrunk
+
+
 def test_parse_format_round_trip(t2_braided):
     e = parse_element(t2_braided, "frac T=[1] B=[1] S=[1]")
     assert e.g.word.letters == (1,)
@@ -220,10 +262,29 @@ def test_tree_walks_leave_no_reference_cycles(t2_braided, h3_pure):
                 )
                 assert expand_at(e.S, p).leaf_count() > e.S.leaf_count()
                 realize_pair(e.T, e.S)
+                assert (e * e.invert()).normalize().is_identity()
         collected = gc.collect()
     finally:
         gc.enable()
     assert collected == 0
+
+
+def test_unchecked_values_keep_compact_storage(t2_braided):
+    # `_unchecked` must store fields as the constructor does: an instance
+    # whose __dict__ is filled directly loses CPython's compact attribute
+    # storage, and every later attribute read takes the slower dict path
+    e = elem(t2_braided, [1], (1,), [1])
+    forest = ExpansionForest(e.T.drs, e.T.trees)
+    word = BraidWord(e.g.word.strands, e.g.word.letters)
+    braid = DigitalBraid(e.g.top, e.g.bottom, word)
+    element = FractionElement(e.context, forest, braid, forest)
+    for built in (forest, word, braid, element):
+        cls = type(built)
+        fast = _unchecked(cls, *(getattr(built, f) for f in cls.__dataclass_fields__))
+        assert fast == built
+        assert [type(x) for x in gc.get_referents(fast)] == [
+            type(x) for x in gc.get_referents(built)
+        ]
 
 
 def test_group_laws_random(h3_braided):

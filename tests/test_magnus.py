@@ -122,16 +122,33 @@ def test_comb_rejects_non_pure():
 
 def test_delete_strand():
     # removing the strand a generator wraps around kills it
-    assert delete_strand(a_jk(1, 3), 3, 3) == ()
-    assert delete_strand(a_jk(1, 2), 3, 3) == (1, 1)
+    assert delete_strand(a_jk(1, 3), 3, 3, 3) == ()
+    assert delete_strand(a_jk(1, 2), 3, 3, 3) == (1, 1)
     # every strand from 3 on goes; strands 1 and 2 keep their crossings
     w = a_jk(1, 2) + a_jk(2, 4) + a_jk(1, 3)
-    assert delete_strand(w, 4, 3) == (1, 1)
-    assert delete_strand(w, 4, 5) == free_reduce(w)
+    assert delete_strand(w, 4, 3, 4) == (1, 1)
+    assert delete_strand(w, 4, 5, 4) == free_reduce(w)
     for letters in (a_jk(1, 4), a_jk(2, 3) + a_jk(3, 4), w):
-        assert delete_strand(letters, 4, 3) == delete_strand(
-            delete_strand(letters, 4, 4), 3, 3
+        assert delete_strand(letters, 4, 3, 4) == delete_strand(
+            delete_strand(letters, 4, 4, 4), 3, 3, 3
         )
+    # a middle range: the strands above it move down into its place
+    assert delete_strand(a_jk(1, 4), 4, 2, 3) == (1, 1)
+    assert delete_strand(a_jk(2, 3) + a_jk(1, 4), 4, 2, 2) == (2, 1, 1, -2)
+    assert delete_strand(w, 4, 2, 3) == ()
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(3, 7)
+        letters = tuple(
+            rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(30)
+        )
+        first = rng.randint(1, n - 1)
+        last = rng.randint(first, n)
+        # deleting the range at once or strand by strand, top first
+        one_by_one = letters
+        for k in range(last, first - 1, -1):
+            one_by_one = delete_strand(one_by_one, n - (last - k), k, k)
+        assert delete_strand(letters, n, first, last) == one_by_one
 
 
 def test_recombine_inverts_comb():
