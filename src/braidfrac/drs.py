@@ -21,6 +21,12 @@ one walk of the two forests (`_complements`), which never builds the join
 and also gives the leaf word of each complement tree; `forest_join` and the
 product of fractions both use it, `forest_join` builds the join as the graft
 of one complement onto its forest, and `complement` is the reference.
+Both walks recurse by rows of siblings in module-level functions (no
+closure, so no reference cycle).  They make one call per node that both
+forests expand, which in `complement` is every node `sub` expands, and
+handle leaves inline in the loop over their row.  On the small trees these
+groups multiply (a root or a few, a handful of leaves) that beats an
+explicit stack, whose pushes and pops cost more than the calls they save.
 
 Positions in step sequences are 1-based: ``[2, 1]`` means "expand the letter
 at position 2 of the source word, then the letter at position 1 of the
@@ -269,29 +275,54 @@ def graft(first: ExpansionForest, second: ExpansionForest) -> ExpansionForest:
     return _graft(first, second.trees)
 
 
-def _leaf_nodes(tree: ExpansionTree, out: list[ExpansionTree]) -> None:
-    if not tree.children:
-        out.append(tree)
-        return
-    for c in tree.children:
-        _leaf_nodes(c, out)
-
-
-def _cover(
-    big: ExpansionTree,
-    trees: list[ExpansionTree],
-    words: list[Word],
-    leaf_trees: list[ExpansionTree],
-    leaf_words: list[Word],
+def _join_row(
+    s_row: tuple[ExpansionTree, ...],
+    t_row: tuple[ExpansionTree, ...],
+    b_trees: list[ExpansionTree],
+    a_trees: list[ExpansionTree],
+    b_words: list[Word],
+    a_words: list[Word],
 ) -> None:
-    """Record `big` as one complement tree, with its leaf word, and each of
-    its leaves as a one-leaf complement tree of the other forest."""
-    leaves: list[ExpansionTree] = []
-    _leaf_nodes(big, leaves)
-    trees.append(big)
-    words.append(tuple(x.label for x in leaves))
-    leaf_trees.extend(leaves)
-    leaf_words.extend((x.label,) for x in leaves)
+    """The walk of `_complements` over one row of matching siblings, left
+    to right; one call per row, so one per node that both forests expand.
+    Module-level, so the recursion leaves no reference cycle."""
+    i = 0
+    for s in s_row:  # indexing `t_row` is cheaper than a zip on such short rows
+        t = t_row[i]
+        i += 1
+        if s.children:
+            if t.children:
+                _join_row(s.children, t.children, b_trees, a_trees, b_words, a_words)
+                continue
+            big, trees, words, leaf_trees, leaf_words = (
+                s, a_trees, a_words, b_trees, b_words
+            )
+        elif t.children:
+            big, trees, words, leaf_trees, leaf_words = (
+                t, b_trees, b_words, a_trees, a_words
+            )
+        else:
+            word = (t.label,)
+            b_trees.append(t)
+            a_trees.append(t)
+            b_words.append(word)
+            a_words.append(word)
+            continue
+        # `big` is one complement tree; each of its leaves is a one-leaf
+        # complement tree of the other forest
+        leaves: list[ExpansionTree] = []
+        nodes = list(reversed(big.children))
+        while nodes:
+            x = nodes.pop()
+            if x.children:
+                nodes.extend(reversed(x.children))
+            else:
+                leaves.append(x)
+        labels = [x.label for x in leaves]
+        trees.append(big)
+        words.append(tuple(labels))
+        leaf_trees.extend(leaves)
+        leaf_words.extend([(a,) for a in labels])
 
 
 def _complements(
@@ -301,56 +332,62 @@ def _complements(
     into their join J, graft(s, B) = graft(t, A) = J, with the leaf word of
     each complement tree, from one walk of the two forests; J is not built.
 
-    Where both forests expand a node, the walk descends.  Where one has a
-    leaf, J carries the other's subtree there: that subtree is the
-    complement tree of the leaf, and each of its leaves is a one-leaf
-    complement tree of the other forest.  The trees are the nodes of s and
-    t themselves, as `complement(s, J)` and `complement(t, J)` give them.
+    Where both forests expand a node, the walk descends.  Where both have a
+    leaf, that leaf is a one-leaf complement tree of each.  Where only one
+    has a leaf, J carries the other's subtree there: that subtree is the
+    complement tree of the leaf, and each of its leaves, gathered by one
+    stack loop, is a one-leaf complement tree of the other forest.  The
+    trees are the nodes of s and t themselves, as `complement(s, J)` and
+    `complement(t, J)` give them.  The walk (`_join_row`) makes one call
+    per node that both forests expand.
     """
     b_trees: list[ExpansionTree] = []
     a_trees: list[ExpansionTree] = []
     b_words: list[Word] = []
     a_words: list[Word] = []
-    # an explicit stack rather than a nested recursive function, whose
-    # closure would refer to itself and leave a reference cycle per call
-    # for the garbage collector
-    stack = list(zip(reversed(s_trees), reversed(t_trees)))
-    while stack:
-        s, t = stack.pop()
-        if s.children and t.children:
-            stack.extend(zip(reversed(s.children), reversed(t.children)))
-        elif s.children:
-            _cover(s, a_trees, a_words, b_trees, b_words)
-        else:
-            _cover(t, b_trees, b_words, a_trees, a_words)
+    _join_row(s_trees, t_trees, b_trees, a_trees, b_words, a_words)
     return b_trees, a_trees, b_words, a_words
 
 
-def _complement_tree(
-    sub: ExpansionTree, full: ExpansionTree, out: list[ExpansionTree]
+def _complement_row(
+    subs: tuple[ExpansionTree, ...],
+    fulls: tuple[ExpansionTree, ...],
+    out: list[ExpansionTree],
 ) -> None:
-    if not sub.children:
-        out.append(full)
-        return
-    if not full.children:
-        raise NotAnUpperBoundError(
-            f"node {sub.label!r} is expanded in the smaller forest only"
-        )
-    for sc, fc in zip(sub.children, full.children):
-        _complement_tree(sc, fc, out)
+    """Append to `out` the subtree of each of `fulls` under each leaf of
+    the matching tree of `subs`, left to right; one call per row, so one
+    per node that `subs` expands.  Module-level, so the recursion leaves no
+    reference cycle."""
+    i = 0
+    for s in subs:  # indexing `fulls` is cheaper than a zip on such short rows
+        f = fulls[i]
+        i += 1
+        if not s.children:
+            out.append(f)
+        elif not f.children:
+            raise NotAnUpperBoundError(
+                f"node {s.label!r} is expanded in the smaller forest only"
+            )
+        else:
+            _complement_row(s.children, f.children, out)
 
 
 def complement(sub: ExpansionForest, full: ExpansionForest) -> ExpansionForest:
     """The forest C with graft(sub, C) = full; errors if sub is not below
-    full."""
-    _check_same_system(sub, full)
-    if sub.source != full.source:
-        raise SourceMismatchError(
-            f"sources differ: {sub.source} vs {full.source}"
-        )
+    full.  All roots are compared before the walk, so a source mismatch is
+    reported before a node that only `sub` expands."""
+    if sub.drs is not full.drs:
+        _check_same_system(sub, full)
+    subs, fulls = sub.trees, full.trees
+    i = len(subs)
+    same = i == len(fulls)
+    while same and i:
+        i -= 1
+        same = subs[i].label == fulls[i].label
+    if not same:
+        raise SourceMismatchError(f"sources differ: {sub.source} vs {full.source}")
     out: list[ExpansionTree] = []
-    for s, f in zip(sub.trees, full.trees):
-        _complement_tree(s, f, out)
+    _complement_row(subs, fulls, out)
     return _unchecked(ExpansionForest, sub.drs, tuple(out))
 
 

@@ -161,7 +161,7 @@ class FractionElement:
     # -- group operations --
 
     def __mul__(self, other: "FractionElement") -> "FractionElement":
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ContextMismatchError("elements live in different contexts")
         # B, A complete self.S and other.T to their join; B moves to the top
         # of self.g and A to the bottom of other.g along the strands
@@ -305,7 +305,9 @@ class FractionElement:
         when
         - g is the cable of g', the braid g with strands s+2..s+w deleted,
           with widths 1 except w at position s+1; the lamination action
-          decides this exactly on g times the inverse of the cable;
+          decides this exactly on g times the inverse of the cable; the
+          permutation flavor keeps only the strand permutation, so there
+          it suffices that this product permutes no strand;
         - S has a caret labelled a over the bottom positions where those w
           strands end.
         Both carets then become leaves and g' is the braid.  The label
@@ -320,6 +322,7 @@ class FractionElement:
         result does not depend on the order.
         """
         t, g, s = self.T, self.g, self.S
+        permutation = self.context.flavor is Flavor.PERMUTATION
         while True:
             n = g.word.strands
             ends = g.word.permutation()
@@ -334,7 +337,11 @@ class FractionElement:
                 widths = [1] * (n - w + 1)
                 widths[i] = w
                 cable = _unchecked(BraidWord, n, _cable(letters, widths))
-                if lamination_trivial(g.word * cable.inverse()):
+                rest = g.word * cable.inverse()
+                if permutation:
+                    if rest.permutation() == tuple(range(1, n + 1)):
+                        break
+                elif lamination_trivial(rest):
                     break
             else:
                 return _unchecked(FractionElement, self.context, t, g, s)

@@ -141,8 +141,43 @@ def test_complement_incomparable(thompson2):
         complement(t, s)
 
 
-def test_join_is_common_upper_bound(thompson2):
-    pool = sorted(enumerate_expansions(thompson2, ("x",), 3), key=steps_of)
+@pytest.mark.parametrize("system", ["thompson2", "houghton3", "edge2"])
+def test_complement_exactly_below_upper_bounds(request, system):
+    # three roots (houghton3) or letters with different right sides (edge2):
+    # complement succeeds exactly on the pairs whose join is the bound
+    drs = request.getfixturevalue(system)
+    pool = sorted(enumerate_expansions(drs, drs.base, 3), key=steps_of)
+    bounds = sorted(enumerate_expansions(drs, drs.base, 5), key=steps_of)
+    below = 0
+    for sub in pool:
+        for full in bounds:
+            if forest_join(sub, full)[0] == full:
+                assert graft(sub, complement(sub, full)) == full
+                below += 1
+            else:
+                with pytest.raises(NotAnUpperBoundError):
+                    complement(sub, full)
+    assert 0 < below < len(pool) * len(bounds)
+
+
+def test_complement_source_mismatch_comes_first(houghton3):
+    # sources of equal length that differ in a letter; the first forest also
+    # expands a node the second leaves alone, and the source mismatch wins
+    expanded = forest_from_steps(houghton3, ("y1", "y2"), [1])
+    other = ExpansionForest.identity(houghton3, ("y1", "y3"))
+    for sub, full in ((expanded, other), (other, expanded)):
+        with pytest.raises(SourceMismatchError):
+            complement(sub, full)
+    with pytest.raises(SourceMismatchError):
+        complement(expanded, ExpansionForest.identity(houghton3, ("y1",)))
+    with pytest.raises(NotAnUpperBoundError):
+        complement(expanded, ExpansionForest.identity(houghton3, ("y1", "y2")))
+
+
+@pytest.mark.parametrize("system", ["thompson2", "houghton3", "edge2"])
+def test_join_is_common_upper_bound(request, system):
+    drs = request.getfixturevalue(system)
+    pool = sorted(enumerate_expansions(drs, drs.base, 3), key=steps_of)
     for s in pool:
         for t in pool:
             j, b, a = forest_join(s, t)

@@ -176,11 +176,15 @@ def test_normalize_strips_matched_carets(t2_braided):
     assert n.T.leaf_count() == 1
 
 
-def test_normalize_cancels_cabled_carets(t2_braided, t2_pure):
-    # the caret's two strands cross the third as one cable
+def test_normalize_cancels_cabled_carets(t2_braided, t2_pure, thompson2):
+    # the caret's two strands cross the third as one cable; the permutation
+    # flavor sees only the strand permutation, so a full twist of the
+    # caret's two strands is no crossing there and the caret cancels
+    t2_permutation = make_context(thompson2, "permutation")
     for context, text, expected in (
         (t2_braided, "frac T=[1 1] B=[2 1] S=[1 2]", "frac T=[1] B=[1] S=[1]"),
         (t2_pure, "frac T=[1 1] B=[2 1 1 2] S=[1 1]", "frac T=[1] B=[1 1] S=[1]"),
+        (t2_permutation, "frac T=[1] B=[1 1] S=[1]", "frac T=[] B=[] S=[]"),
     ):
         assert format_element(parse_element(context, text).normalize()) == expected
 
@@ -243,9 +247,9 @@ def test_random_element_respects_flavor(t2_pure, t2_plain):
 
 
 def test_tree_walks_leave_no_reference_cycles(t2_braided, h3_pure):
-    # the walks over expansion trees run on explicit stacks or loops: a
-    # nested function calling itself would leave a reference cycle per call
-    # that only the cyclic garbage collector frees
+    # the walks over expansion trees run on explicit stacks, loops or
+    # module-level recursion: a nested function calling itself would leave
+    # a reference cycle per call that only the cyclic garbage collector frees
     gc.collect()
     gc.disable()
     try:
@@ -261,6 +265,8 @@ def test_tree_walks_leave_no_reference_cycles(t2_braided, h3_pure):
                     if drs.rule_for(letter) is not None
                 )
                 assert expand_at(e.S, p).leaf_count() > e.S.leaf_count()
+                j, b, a = forest_join(e.T, e.S)
+                assert complement(e.T, j) == b and complement(e.S, j) == a
                 realize_pair(e.T, e.S)
                 assert (e * e.invert()).normalize().is_identity()
         collected = gc.collect()
