@@ -223,23 +223,20 @@ def parse_expression(context: GroupContext, text: str) -> FractionElement:
 
 # --- subcommands ---------------------------------------------------------------
 
-def _cmd_sign(args) -> int:
-    context = build_context(args)
+def _cmd_sign(args, context: GroupContext) -> int:
     e = parse_expression(context, args.expr)
     print(e.sign(degree_cap=args.degree_cap))
     return 0
 
 
-def _cmd_compare(args) -> int:
-    context = build_context(args)
+def _cmd_compare(args, context: GroupContext) -> int:
     e1 = parse_expression(context, args.expr1)
     e2 = parse_expression(context, args.expr2)
     print(e1.compare(e2, degree_cap=args.degree_cap))
     return 0
 
 
-def _cmd_mul(args) -> int:
-    context = build_context(args)
+def _cmd_mul(args, context: GroupContext) -> int:
     e = parse_expression(context, args.exprs[0])
     for text in args.exprs[1:]:
         e = e * parse_expression(context, text)
@@ -247,20 +244,17 @@ def _cmd_mul(args) -> int:
     return 0
 
 
-def _cmd_inv(args) -> int:
-    context = build_context(args)
+def _cmd_inv(args, context: GroupContext) -> int:
     print(format_element(parse_expression(context, args.expr).invert()))
     return 0
 
 
-def _cmd_normalize(args) -> int:
-    context = build_context(args)
+def _cmd_normalize(args, context: GroupContext) -> int:
     print(format_element(parse_expression(context, args.expr).normalize()))
     return 0
 
 
-def _cmd_realize(args) -> int:
-    context = build_context(args)
+def _cmd_realize(args, context: GroupContext) -> int:
     if context.flavor is not Flavor.PLAIN:
         raise CliError("realize requires --flavor plain")
     e = parse_expression(context, args.expr)
@@ -268,8 +262,7 @@ def _cmd_realize(args) -> int:
     return 0
 
 
-def _cmd_axioms(args) -> int:
-    context = build_context(args)
+def _cmd_axioms(args, context: GroupContext) -> int:
     report = run_suite(
         args.suite,
         context,
@@ -302,7 +295,10 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, summary: str, func, *positionals: str):
+    """Register the subcommand `name`, handled by `func`, with the options
+    every subcommand takes and the given positionals; returns its parser."""
+    parser = sub.add_parser(name, help=summary)
     parser.add_argument("--drs", required=True, help="family name or DRS file")
     parser.add_argument(
         "--flavor",
@@ -313,6 +309,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--degree-cap", type=_int_at_least(1), default=DEFAULT_DEGREE_CAP
     )
+    for positional in positionals:
+        parser.add_argument(positional)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -321,54 +321,34 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="groups of braided fractions of digit rewriting systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sign", help="sign of an element")
-    _add_common(p)
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_sign)
-
-    p = sub.add_parser("compare", help="compare two elements")
-    _add_common(p)
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("mul", help="multiply elements")
-    _add_common(p)
+    _add_command(sub, "sign", "sign of an element", _cmd_sign, "expr")
+    _add_command(sub, "compare", "compare two elements", _cmd_compare, "expr1", "expr2")
+    p = _add_command(sub, "mul", "multiply elements", _cmd_mul)
     p.add_argument("exprs", nargs="+")
-    p.set_defaults(func=_cmd_mul)
-
-    p = sub.add_parser("inv", help="invert an element")
-    _add_common(p)
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_inv)
-
-    p = sub.add_parser("normalize", help="cancel the carets the braid carries as one cable")
-    _add_common(p)
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("realize", help="PL realization of a plain element")
-    _add_common(p)
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_realize)
-
-    p = sub.add_parser("axioms", help="run a verification suite")
-    _add_common(p)
+    _add_command(sub, "inv", "invert an element", _cmd_inv, "expr")
+    _add_command(
+        sub,
+        "normalize",
+        "cancel the carets the braid carries as one cable",
+        _cmd_normalize,
+        "expr",
+    )
+    _add_command(
+        sub, "realize", "PL realization of a plain element", _cmd_realize, "expr"
+    )
+    p = _add_command(sub, "axioms", "run a verification suite", _cmd_axioms)
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--trials", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_int_at_least(0), default=6)
     p.add_argument("--max-braid-letters", type=_int_at_least(0), default=12)
-    p.set_defaults(func=_cmd_axioms)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, build_context(args))
     except (CliError, DrsError, BraidError, FractionError, HarnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

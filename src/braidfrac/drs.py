@@ -21,6 +21,9 @@ one walk of the two forests (`_complements`), which never builds the join
 and also gives the leaf word of each complement tree; `forest_join` and the
 product of fractions both use it, `forest_join` builds the join as the graft
 of one complement onto its forest, and `complement` is the reference.
+`complement` and `forest_join` share one root check (`_check_roots`): the
+two forests must belong to one system and have the same roots, in that
+order of precedence, before either walks.
 Both walks recurse by rows of siblings in module-level functions (no
 closure, so no reference cycle).  They make one call per node that both
 forests expand, which in `complement` is every node `sub` expands, and
@@ -226,6 +229,22 @@ def _check_same_system(a: ExpansionForest, b: ExpansionForest) -> None:
         )
 
 
+def _check_roots(a: ExpansionForest, b: ExpansionForest) -> None:
+    """Refuse forests of two rewriting systems, then forests whose roots
+    (their sources) differ.  The root labels are compared directly; the
+    source tuples are built only for the message."""
+    if a.drs is not b.drs:
+        _check_same_system(a, b)
+    a_trees, b_trees = a.trees, b.trees
+    i = len(a_trees)
+    same = i == len(b_trees)
+    while same and i:
+        i -= 1
+        same = a_trees[i].label == b_trees[i].label
+    if not same:
+        raise SourceMismatchError(f"sources differ: {a.source} vs {b.source}")
+
+
 def _graft_row(
     row: tuple[ExpansionTree, ...],
     trees: list[ExpansionTree] | tuple[ExpansionTree, ...],
@@ -376,18 +395,9 @@ def complement(sub: ExpansionForest, full: ExpansionForest) -> ExpansionForest:
     """The forest C with graft(sub, C) = full; errors if sub is not below
     full.  All roots are compared before the walk, so a source mismatch is
     reported before a node that only `sub` expands."""
-    if sub.drs is not full.drs:
-        _check_same_system(sub, full)
-    subs, fulls = sub.trees, full.trees
-    i = len(subs)
-    same = i == len(fulls)
-    while same and i:
-        i -= 1
-        same = subs[i].label == fulls[i].label
-    if not same:
-        raise SourceMismatchError(f"sources differ: {sub.source} vs {full.source}")
+    _check_roots(sub, full)
     out: list[ExpansionTree] = []
-    _complement_row(subs, fulls, out)
+    _complement_row(sub.trees, full.trees, out)
     return _unchecked(ExpansionForest, sub.drs, tuple(out))
 
 
@@ -397,9 +407,7 @@ def forest_join(
     """Least common upper bound J of two forests with the same source,
     together with the complements B, A satisfying graft(s, B) = graft(t, A)
     = J."""
-    _check_same_system(s, t)
-    if s.source != t.source:
-        raise SourceMismatchError(f"sources differ: {s.source} vs {t.source}")
+    _check_roots(s, t)
     b, a, _, _ = _complements(s.trees, t.trees)
     return (
         _graft(s, b),
@@ -512,6 +520,12 @@ def steps_of(forest: ExpansionForest) -> list[int]:
     return steps
 
 
+def _expandable(drs: DigitRewritingSystem, word: Word) -> list[int]:
+    """The 1-based positions of `word` whose letter has a rule, in order."""
+    rules = drs.rule_map
+    return [p for p, a in enumerate(word, start=1) if a in rules]
+
+
 def enumerate_expansions(
     drs: DigitRewritingSystem, word: Word, depth: int
 ) -> set[ExpansionForest]:
@@ -524,11 +538,10 @@ def enumerate_expansions(
     for _ in range(depth):
         nxt: set[ExpansionForest] = set()
         for f in frontier:
-            for p, letter in enumerate(f.leaves(), start=1):
-                if drs.rule_for(letter) is not None:
-                    g = expand_at(f, p)
-                    if g not in seen:
-                        nxt.add(g)
+            for p in _expandable(drs, f.leaves()):
+                g = expand_at(f, p)
+                if g not in seen:
+                    nxt.add(g)
         seen |= nxt
         frontier = nxt
         if not frontier:
@@ -553,12 +566,11 @@ def forest_with_leaves(
             return f
         if len(leaves) >= len(target):
             continue
-        for p, letter in enumerate(leaves, start=1):
-            if drs.rule_for(letter) is not None:
-                g = expand_at(f, p)
-                if g not in seen:
-                    seen.add(g)
-                    queue.append(g)
+        for p in _expandable(drs, leaves):
+            g = expand_at(f, p)
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
     return None
 
 

@@ -81,6 +81,7 @@ from .drs import (
     _carets,
     _collapse_caret,
     _complements,
+    _expandable,
     _graft,
     _unchecked,
     expand_at,
@@ -289,7 +290,11 @@ class FractionElement:
         )
 
     def in_kernel_K(self) -> bool:
-        return self.psi_project().is_identity()
+        """Whether the projection to the plain group is trivial: equal
+        forests, since the plain flavor has no braid."""
+        if self.context.flavor is not Flavor.PURE_BRAIDED:
+            raise FractionError("projection is defined on the pure flavor")
+        return self.T == self.S
 
     # -- size control --
 
@@ -368,11 +373,7 @@ def _grow_forest(
 ) -> ExpansionForest:
     f = ExpansionForest.identity(drs, word)
     for _ in range(steps):
-        positions = [
-            p
-            for p, letter in enumerate(f.leaves(), start=1)
-            if drs.rule_for(letter) is not None
-        ]
+        positions = _expandable(drs, f.leaves())
         if not positions:
             break
         f = expand_at(f, rng.choice(positions))

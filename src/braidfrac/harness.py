@@ -30,6 +30,7 @@ from .braids import (
 )
 from .drs import (
     ExpansionForest,
+    _expandable,
     enumerate_expansions,
     expand_at,
     format_steps,
@@ -41,7 +42,6 @@ from .fraction import (
     Flavor,
     FractionElement,
     GroupContext,
-    _braid_piece,
     _grow_forest,
     _random_braid,
     format_element,
@@ -222,9 +222,7 @@ def _random_positive_braid(context, rng, budget, letters, degree_cap):
     whose bottom word admits an expansion."""
     for _ in range(40):
         g = _random_digital_braid(context, rng, budget, letters)
-        if not any(
-            context.drs.rule_for(a) is not None for a in g.bottom
-        ):
+        if not _expandable(context.drs, g.bottom):
             continue
         s = _braid_sign(context, g, degree_cap)
         if s is Sign.POSITIVE:
@@ -237,13 +235,9 @@ def _random_positive_braid(context, rng, budget, letters, degree_cap):
 
 def _suite_compatibility(context, rng, budget, letters, degree_cap):
     g = _random_positive_braid(context, rng, budget, letters, degree_cap)
-    positions = [
-        p
-        for p, a in enumerate(g.bottom, start=1)
-        if context.drs.rule_for(a) is not None
-    ]
     b = expand_at(
-        ExpansionForest.identity(context.drs, g.bottom), rng.choice(positions)
+        ExpansionForest.identity(context.drs, g.bottom),
+        rng.choice(_expandable(context.drs, g.bottom)),
     )
     _, gb = act_bottom(g, b)
     if _braid_sign(context, gb, degree_cap) is not Sign.POSITIVE:
@@ -262,7 +256,9 @@ def _braids_equal(a: DigitalBraid, b: DigitalBraid) -> bool:
 
 
 def _random_digital_braid(context, rng, budget, letters):
-    return _braid_piece(context, rng.randint(0, budget), letters, rng).g
+    f = _grow_forest(context.drs, context.base, rng.randint(0, budget), rng)
+    pure = context.flavor is Flavor.PURE_BRAIDED
+    return _random_braid(f.leaves(), letters, rng, pure)
 
 
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):

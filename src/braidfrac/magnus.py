@@ -60,6 +60,13 @@ least linked strand gives the sign; otherwise that level alone is combed,
 and only there can the degree cap be reached.  `pure_word_sign` proves
 this.  `_comb_sign`, which combs every level from level 2 up, is the
 reference the tests and the `cone` suite check the order against.
+
+`pure_word_sign` takes the letters of a valid braid word (those of a
+`BraidWord`, as every caller passes) and does not validate them again.  It
+reads purity off the strand arrangement its linking-number pass ends with,
+so the order path neither validates the word again nor computes its
+permutation; `comb_word`, the public entry to combing, still checks its
+input.
 """
 
 from __future__ import annotations
@@ -272,12 +279,6 @@ class CombedForm:
         return all(not c for c in self.components)
 
 
-def _check_pure_word(letters: tuple[int, ...], n: int) -> None:
-    perm = BraidWord(n, letters).permutation()
-    if perm != tuple(range(1, n + 1)):
-        raise MagnusError("braid is not pure")
-
-
 def _level_words(letters: tuple[int, ...], n: int):
     """Yield (k, g_k) per level, level n first: g_k is the word left after
     deleting strands k+1..n, whose level-k component is that of g."""
@@ -288,7 +289,8 @@ def _level_words(letters: tuple[int, ...], n: int):
 
 
 def comb_word(letters: tuple[int, ...], n: int) -> CombedForm:
-    _check_pure_word(letters, n)
+    if BraidWord(n, letters).permutation() != tuple(range(1, n + 1)):
+        raise MagnusError("braid is not pure")
     components = tuple(
         _level_component(c, k) for k, c in _level_words(letters, n)
     )
@@ -299,11 +301,10 @@ def comb(g: DigitalBraid) -> CombedForm:
     return comb_word(g.word.letters, g.word.strands)
 
 
-def recombine(form: CombedForm, n: int | None = None) -> BraidWord:
+def recombine(form: CombedForm) -> BraidWord:
     """Braid word reassembled from a combed form; equal to the original
     braid."""
-    if n is None:
-        n = form.strands
+    n = form.strands
     word: tuple[int, ...] = ()
     k = n - len(form.components) + 1
     for component in reversed(form.components):
@@ -359,8 +360,12 @@ def pure_word_sign(
     lk(j0, k) != 0, and the sign is that of lk(j0, k).  Otherwise c_k alone
     is read off g_k, as combing reads it, and signed by `free_word_sign`,
     so `DegreeCapExceeded` can only arise there: a word decided by its
-    linking numbers is one `free_word_sign` decides at degree 1."""
-    _check_pure_word(letters, n)
+    linking numbers is one `free_word_sign` decides at degree 1.
+
+    `letters` must be a valid word on n >= 1 strands, as the letters of a
+    `BraidWord` are; every caller passes one.  Purity is read off the
+    strand arrangement that the linking-number pass ends with, and a word
+    that is not pure raises `MagnusError` before any sign is returned."""
     if not letters:
         return Sign.ZERO
     m = n + 1
@@ -372,6 +377,8 @@ def pure_word_sign(
         at[p], at[p + 1] = b, a
         i = b * m + a if a < b else a * m + b
         twice_lk[i] += 1 if d > 0 else -1
+    if at != list(range(m)):
+        raise MagnusError("braid is not pure")
     k = next((k for k in range(2, m) if any(twice_lk[k * m : k * m + k])), m)
     while not lamination_trivial(
         _unchecked(BraidWord, k - 1, delete_strand(letters, n, k, n))

@@ -13,6 +13,7 @@ from braidfrac.drs import (
     NotAnUpperBoundError,
     RewriteRule,
     SourceMismatchError,
+    SystemMismatchError,
     complement,
     enumerate_expansions,
     expand_at,
@@ -208,6 +209,24 @@ def test_join_source_mismatch(thompson2):
     t = ExpansionForest.identity(thompson2, ("x", "x"))
     with pytest.raises(SourceMismatchError):
         forest_join(s, t)
+
+
+@pytest.mark.parametrize("operation", [complement, forest_join])
+def test_root_check_messages_and_precedence(houghton3, operation):
+    # sources of equal length that differ in a letter, in both orders; the
+    # expanded forest has a node the other leaves alone, and the source
+    # mismatch wins, with the same message from both operations
+    expanded = forest_from_steps(houghton3, ("y1", "y2"), [1])
+    other = ExpansionForest.identity(houghton3, ("y1", "y3"))
+    for a, b in ((expanded, other), (other, expanded)):
+        with pytest.raises(SourceMismatchError) as info:
+            operation(a, b)
+        assert str(info.value) == f"sources differ: {a.source} vs {b.source}"
+    assert str(info.value) == "sources differ: ('y1', 'y3') vs ('y1', 'y2')"
+    # forests of two systems are refused before their sources are compared
+    thompson = ExpansionForest.identity(thompson_drs(2), ("x", "x"))
+    with pytest.raises(SystemMismatchError):
+        operation(thompson, other)
 
 
 def test_enumerate_counts(thompson2):

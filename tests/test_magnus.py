@@ -120,6 +120,16 @@ def test_comb_rejects_non_pure():
         pure_braid_sign(DigitalBraid(("x", "x"), ("x", "x"), BraidWord(2, (1,))))
 
 
+def test_pure_sign_rejects_non_pure_with_linking():
+    # (1, 1, 1) on 2 strands swaps the strands and has a nonzero crossing
+    # count, so a purity check after the linking-number pass that returned
+    # early on the first nonzero count would miss it
+    with pytest.raises(MagnusError, match="braid is not pure"):
+        pure_word_sign((1, 1, 1), 2)
+    with pytest.raises(MagnusError, match="braid is not pure"):
+        pure_word_sign((2, -1, 2), 3)
+
+
 def test_delete_strand():
     # removing the strand a generator wraps around kills it
     assert delete_strand(a_jk(1, 3), 3, 3, 3) == ()
@@ -157,7 +167,7 @@ def test_recombine_inverts_comb():
         n = rng.randint(2, 7)
         letters = random_pure_word(rng, n, rng.randint(0, 4))
         w = BraidWord(n, letters)
-        back = recombine(comb_word(letters, n), n)
+        back = recombine(comb_word(letters, n))
         diff = w * back.inverse()
         assert not handle_reduce(diff).letters
         assert lamination_trivial(diff)
