@@ -26,6 +26,7 @@ Rewriting systems are named ``thompson:<n>``, ``houghton:<n>``,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -59,12 +60,14 @@ class CliError(ValueError):
 
 
 def load_drs(name: str) -> DigitRewritingSystem:
-    if name.startswith(("thompson:", "houghton:")):
-        return family_drs(name)
+    """An edge shift read from ``edgeshift:<file>``, a DRS file, or else,
+    for a name with a colon, a family (``thompson:<n>``, ``houghton:<n>``);
+    a misspelled family is reported as one, not as a missing file."""
     if name.startswith("edgeshift:"):
-        path = name.split(":", 1)[1]
-        with open(path, encoding="utf-8") as fh:
+        with open(name.split(":", 1)[1], encoding="utf-8") as fh:
             return parse_edge_shift(fh.read())
+    if ":" in name and not os.path.isfile(name):
+        return family_drs(name)
     with open(name, encoding="utf-8") as fh:
         return parse_drs(fh.read())
 

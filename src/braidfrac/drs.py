@@ -33,17 +33,24 @@ explicit stack, whose pushes and pops cost more than the calls they save.
 
 Positions in step sequences are 1-based: ``[2, 1]`` means "expand the letter
 at position 2 of the source word, then the letter at position 1 of the
-resulting word".
+resulting word".  `forest_from_steps` is the one builder of a forest from a
+word and a step list, in one pass over mutable cells that are frozen at the
+end; ``identity`` and `expand_at` are calls to it, and the random grower
+(``fraction._grow_forest``) and `forest_with_leaves` work on leaf words and
+build one forest at the end.  `enumerate_expansions` makes each forest once
+from rows of trees.  Only `_collapse_caret`, used by ``normalize``, copies
+the path down to one node.
 
 Validation happens at the trust boundary: the public constructors
 (``ExpansionForest(...)`` here, ``BraidWord``, ``DigitalBraid`` and
 ``FractionElement`` further up) and the parsers, which all go through them,
-check every value handed in.  The library's own operations (``identity``,
-`graft`, `complement`, `forest_join`, `expand_at`, and their counterparts in
-``braids`` and ``fraction``) build their results from values already
-checked, by rules that keep them valid, so they skip re-validation through
-`_unchecked`.  The one mix their inputs cannot rule out, forests of two
-different rewriting systems, is refused by a cheap `SystemMismatchError`
+check every value handed in.  `forest_from_steps` checks the word and each
+step as it applies it, so every tree it freezes follows the rules.  The
+library's own operations (`graft`, `complement`, `forest_join`, and their
+counterparts in ``braids`` and ``fraction``) build their results from values
+already checked, by rules that keep them valid, so they skip re-validation
+through `_unchecked`.  The one mix their inputs cannot rule out, forests of
+two different rewriting systems, is refused by a cheap `SystemMismatchError`
 guard.
 """
 
@@ -218,8 +225,7 @@ class ExpansionForest:
 
     @classmethod
     def identity(cls, drs: DigitRewritingSystem, word: Word) -> "ExpansionForest":
-        drs.check_word(word)
-        return _unchecked(cls, drs, tuple(ExpansionTree(a) for a in word))
+        return forest_from_steps(drs, word, ())
 
 
 def _check_same_system(a: ExpansionForest, b: ExpansionForest) -> None:
@@ -416,62 +422,36 @@ def forest_join(
     )
 
 
-_Path = list[tuple[tuple[ExpansionTree, ...], int]]
+def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
+    """Apply the rule at the 1-based leaf `position` of the current target
+    word."""
+    return forest_from_steps(forest.drs, forest.source, [*steps_of(forest), position])
 
 
-def _leaf_path(forest: ExpansionForest, position: int) -> _Path:
-    """The rows and indices from a root of `forest` down to its leaf at the
-    1-based `position`, found by descending on leaf counts."""
-    path: _Path = []
+def _collapse_caret(forest: ExpansionForest, position: int) -> ExpansionForest:
+    """`forest` with the caret over its leaf at the 1-based `position` (the
+    parent of that leaf, whose children are all leaves) made a leaf.  Only
+    the nodes on the path from a root down to the caret are rebuilt.  The
+    descent, on leaf counts, and the rebuild are loops: a nested recursive
+    function would refer to itself and leave a reference cycle per call for
+    the garbage collector."""
+    path: list[tuple[tuple[ExpansionTree, ...], int]] = []
     row, rest = forest.trees, position
-    while True:
+    while row:
         i = 0
         while rest > row[i].leaf_count:
             rest -= row[i].leaf_count
             i += 1
         path.append((row, i))
-        if not row[i].children:
-            return path
         row = row[i].children
-
-
-def _replace_on_path(
-    forest: ExpansionForest, path: _Path, node: ExpansionTree
-) -> ExpansionForest:
-    """`forest` with the node at the end of `path` replaced by `node`; only
-    the nodes on the path are rebuilt, and `path` is used up.  This rebuild
-    and the descent of `_leaf_path` are loops: a nested recursive function
-    would refer to itself and leave a reference cycle per call for the
-    garbage collector."""
-    while len(path) > 1:
-        row, i = path.pop()
-        above, j = path[-1]
+    path.pop()  # the leaf; the caret above it becomes a leaf
+    row, i = path.pop()
+    node = ExpansionTree(row[i].label)
+    while path:
+        above, j = path.pop()
         node = ExpansionTree(above[j].label, row[:i] + (node,) + row[i + 1 :])
-    row, i = path[0]
+        row, i = above, j
     return _unchecked(ExpansionForest, forest.drs, row[:i] + (node,) + row[i + 1 :])
-
-
-def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
-    """Apply the rule at the 1-based leaf `position` of the current target
-    word."""
-    total = forest.leaf_count()
-    if not 1 <= position <= total:
-        raise DrsError(f"position {position} out of range 1..{total}")
-    path = _leaf_path(forest, position)
-    row, i = path[-1]
-    rule = forest.drs.rule_for(row[i].label)
-    if rule is None:
-        raise DrsError(f"letter {row[i].label!r} at position {position} has no rule")
-    node = ExpansionTree(row[i].label, tuple(ExpansionTree(u) for u in rule.rhs))
-    return _replace_on_path(forest, path, node)
-
-
-def _collapse_caret(forest: ExpansionForest, position: int) -> ExpansionForest:
-    """`forest` with the caret over its leaf at the 1-based `position` (the
-    parent of that leaf, whose children are all leaves) made a leaf."""
-    path = _leaf_path(forest, position)[:-1]
-    row, i = path[-1]
-    return _replace_on_path(forest, path, ExpansionTree(row[i].label))
 
 
 def _carets(forest: ExpansionForest) -> list[tuple[int, ExpansionTree]]:
@@ -493,10 +473,39 @@ def _carets(forest: ExpansionForest) -> list[tuple[int, ExpansionTree]]:
 def forest_from_steps(
     drs: DigitRewritingSystem, word: Word, steps: list[int] | tuple[int, ...]
 ) -> ExpansionForest:
-    f = ExpansionForest.identity(drs, word)
+    """The forest with source `word` that the 1-based `steps` expand, built
+    in one pass.  Each node is first a mutable cell ``[label, child
+    cells]``; a step splices the cells of the rule's right side in place of
+    the leaf at its position.  The cells are then frozen in reverse order of
+    making: a cell is made after its parent, so its children are frozen
+    before it, with no recursion and no reference cycle.  Each internal
+    node gets its leaf count stored, as `ExpansionTree.leaf_count` would."""
+    drs.check_word(word)
+    rules = drs.rule_map
+    cells: list[list] = [[a, ()] for a in word]
+    leaves = cells[:]
     for p in steps:
-        f = expand_at(f, p)
-    return f
+        if not 1 <= p <= len(leaves):
+            raise DrsError(f"position {p} out of range 1..{len(leaves)}")
+        leaf = leaves[p - 1]
+        rule = rules.get(leaf[0])
+        if rule is None:
+            raise DrsError(f"letter {leaf[0]!r} at position {p} has no rule")
+        kids = [[u, ()] for u in rule.rhs]
+        leaf[1] = kids
+        leaves[p - 1 : p] = kids
+        cells += kids
+    # freezing turns each cell into [tree, leaf count]
+    for cell in reversed(cells):
+        kids = cell[1]
+        if kids:
+            tree = ExpansionTree(cell[0], tuple(k[0] for k in kids))
+            n = sum(k[1] for k in kids)
+            _set_field(tree, "_leaf_count", n)
+            cell[0], cell[1] = tree, n
+        else:
+            cell[0], cell[1] = ExpansionTree(cell[0]), 1
+    return _unchecked(ExpansionForest, drs, tuple(c[0] for c in cells[: len(word)]))
 
 
 def steps_of(forest: ExpansionForest) -> list[int]:
@@ -526,51 +535,61 @@ def _expandable(drs: DigitRewritingSystem, word: Word) -> list[int]:
     return [p for p, a in enumerate(word, start=1) if a in rules]
 
 
+def _trees(drs: DigitRewritingSystem, label: str, budget: int):
+    """Every tree rooted at `label` with at most `budget` internal nodes,
+    each with its number of internal nodes."""
+    yield ExpansionTree(label), 0
+    rule = drs.rule_for(label)
+    if budget and rule is not None:
+        for row, used in _rows(drs, rule.rhs, budget - 1):
+            yield ExpansionTree(label, row), used + 1
+
+
+def _rows(drs: DigitRewritingSystem, labels: Word, budget: int):
+    """Every row of trees rooted at `labels` with at most `budget` internal
+    nodes in all, each with that number; each tree expands at most what
+    the trees left of it leave of the budget."""
+    if not labels:
+        yield (), 0
+        return
+    for tree, used in _trees(drs, labels[0], budget):
+        for row, more in _rows(drs, labels[1:], budget - used):
+            yield (tree, *row), used + more
+
+
 def enumerate_expansions(
     drs: DigitRewritingSystem, word: Word, depth: int
 ) -> set[ExpansionForest]:
     """All forests with the given source and at most `depth` rule
-    applications."""
+    applications, each built once."""
     if depth < 0:
         raise DrsError("depth must be >= 0")
-    frontier: set[ExpansionForest] = {ExpansionForest.identity(drs, word)}
-    seen = set(frontier)
-    for _ in range(depth):
-        nxt: set[ExpansionForest] = set()
-        for f in frontier:
-            for p in _expandable(drs, f.leaves()):
-                g = expand_at(f, p)
-                if g not in seen:
-                    nxt.add(g)
-        seen |= nxt
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
+    drs.check_word(word)
+    return {_unchecked(ExpansionForest, drs, row) for row, _ in _rows(drs, word, depth)}
 
 
 def forest_with_leaves(
     drs: DigitRewritingSystem, base: Word, target: Word
 ) -> ExpansionForest | None:
     """Breadth-first search for a forest with the given source and leaf
-    word; None if the target is not reachable."""
-    from collections import deque
-
-    start = ExpansionForest.identity(drs, base)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        f = queue.popleft()
-        leaves = f.leaves()
-        if leaves == target:
-            return f
-        if len(leaves) >= len(target):
-            continue
-        for p in _expandable(drs, leaves):
-            g = expand_at(f, p)
-            if g not in seen:
-                seen.add(g)
-                queue.append(g)
+    word; None if the target is not reachable.  The search runs over leaf
+    words, keeping the steps of the first visit to each, and builds one
+    forest at the end.  That is the forest a search over forests finds
+    first: its parent is the first forest found with the parent's leaf
+    word, and so on up to the source."""
+    drs.check_word(base)
+    rules = drs.rule_map
+    seen = {base}
+    queue: list[tuple[Word, list[int]]] = [(base, [])]
+    for word, steps in queue:  # the loop reaches what it appends
+        if word == target:
+            return forest_from_steps(drs, base, steps)
+        if len(word) < len(target):
+            for p in _expandable(drs, word):
+                nxt = word[: p - 1] + rules[word[p - 1]].rhs + word[p:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append((nxt, [*steps, p]))
     return None
 
 

@@ -125,7 +125,7 @@ def family_drs(name: str) -> DigitRewritingSystem:
     family, colon, count = name.partition(":")
     make = {"thompson": thompson_drs, "houghton": houghton_drs}.get(family)
     if make is None or not colon:
-        raise DrsError(f"unknown family {name!r}")
+        raise DrsError(f"unknown family {name!r}; known: thompson, houghton, edgeshift")
     try:
         n = int(count)
     except ValueError:

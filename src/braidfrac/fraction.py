@@ -84,7 +84,6 @@ from .drs import (
     _expandable,
     _graft,
     _unchecked,
-    expand_at,
     forest_from_steps,
     format_steps,
     parse_steps,
@@ -371,13 +370,18 @@ def identity_element(context: GroupContext) -> FractionElement:
 def _grow_forest(
     drs: DigitRewritingSystem, word: Word, steps: int, rng: random.Random
 ) -> ExpansionForest:
-    f = ExpansionForest.identity(drs, word)
+    """A forest on `word` of up to `steps` random expansions, drawn on its
+    leaf word and built once."""
+    leaves = list(word)
+    chosen: list[int] = []
     for _ in range(steps):
-        positions = _expandable(drs, f.leaves())
+        positions = _expandable(drs, leaves)
         if not positions:
             break
-        f = expand_at(f, rng.choice(positions))
-    return f
+        p = rng.choice(positions)
+        leaves[p - 1 : p] = drs.rule_map[leaves[p - 1]].rhs
+        chosen.append(p)
+    return forest_from_steps(drs, word, chosen)
 
 
 def _label_preserving_target(

@@ -32,7 +32,6 @@ from .drs import (
     ExpansionForest,
     _expandable,
     enumerate_expansions,
-    expand_at,
     format_steps,
     graft,
     steps_of,
@@ -235,10 +234,7 @@ def _random_positive_braid(context, rng, budget, letters, degree_cap):
 
 def _suite_compatibility(context, rng, budget, letters, degree_cap):
     g = _random_positive_braid(context, rng, budget, letters, degree_cap)
-    b = expand_at(
-        ExpansionForest.identity(context.drs, g.bottom),
-        rng.choice(_expandable(context.drs, g.bottom)),
-    )
+    b = _grow_forest(context.drs, g.bottom, 1, rng)
     _, gb = act_bottom(g, b)
     if _braid_sign(context, gb, degree_cap) is not Sign.POSITIVE:
         return (

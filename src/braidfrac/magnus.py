@@ -128,8 +128,6 @@ class NcPolynomial:
         d = min(self.degree, other.degree)
         out: dict[Monomial, int] = {}
         for m1, c1 in self.coeffs.items():
-            if len(m1) > d:
-                continue
             for m2, c2 in other.coeffs.items():
                 if len(m1) + len(m2) > d:
                     continue

@@ -244,6 +244,11 @@ def test_act_bottom_identity_forest(thompson2):
     bup, gb = act_bottom(g, b)
     assert gb.word == g.word
     assert bup == ExpansionForest.identity(thompson2, ("x", "x"))
+    # on the empty word both come back as they are; the cabling path would
+    # index a tree for the one strand of the empty braid
+    empty = DigitalBraid.identity(())
+    none = ExpansionForest.identity(thompson2, ())
+    assert act_bottom(empty, none) == (none, empty)
 
 
 def test_act_bottom_source_mismatch(thompson2):

@@ -187,6 +187,11 @@ def test_bh_generators(capsys):
     _, over, _ = run(capsys, "sign", "--drs", "houghton:3", "bh1(2; [1]; over)")
     _, under, _ = run(capsys, "sign", "--drs", "houghton:3", "bh1(2; [1]; under)")
     assert {over, under} == {"positive", "negative"}
+    # without a step list, bh2 braids the leaves of the base word itself
+    code, out, _ = run(
+        capsys, "sign", "--drs", "thompson:2", "--base", "x x", "bh2(1; 1)"
+    )
+    assert code == 0 and out == "positive"
 
 
 def test_bh1_unreachable_target(capsys):
@@ -211,6 +216,27 @@ def test_bh_integer_fields_are_usage_errors(capsys, expr, field, column):
     code, _, err = run(capsys, "sign", "--drs", "houghton:3", expr)
     assert code == 2 and err.startswith(f"error: at column {column}: "), err
     assert "expected an integer" in err and field in err
+
+
+@pytest.mark.parametrize(
+    "expr, message, column",
+    [
+        pytest.param(expr, message, column, id=expr)
+        for expr, message, column in (
+            ("inv(frac T=[] B=[] S=[]", "expected ')'", 24),
+            ("foo", "expected an atom", 1),
+            ("bh1(1; [1]", "unterminated generator call", 5),
+            ("bh1(1; 1)", "expected a step list, got '1'", 8),
+            ("bh1(1)", "bh1 takes", 7),
+            ("bh1(1; [1]; sideways)", "third bh1 field must be", 13),
+            ("bh2(1)", "bh2 takes", 7),
+        )
+    ],
+)
+def test_expression_errors_are_usage_errors(capsys, expr, message, column):
+    code, _, err = run(capsys, "sign", "--drs", "houghton:3", expr)
+    assert code == 2 and err.startswith(f"error: at column {column}: "), err
+    assert message in err
 
 
 def test_realize(capsys):
@@ -343,12 +369,15 @@ def test_missing_base_errors(tmp_path, capsys):
     assert code == 2 and "base" in err
 
 
-@pytest.mark.parametrize("name", ["thompson:x", "houghton:"])
+@pytest.mark.parametrize("name", ["thompson:x", "houghton:", "bogus:3"])
 def test_bad_family_count_is_usage_error(capsys, name):
     code, _, err = run(capsys, "sign", "--drs", name, "frac T=[] B=[] S=[]")
     assert code == 2
     assert err.startswith("error: ") and name.split(":")[0] in err
     assert "Traceback" not in err
+    if name == "bogus:3":
+        # read as a misspelled family, not as a missing file
+        assert all(f in err for f in ("thompson", "houghton", "edgeshift")), err
 
 
 def test_missing_file_errors(capsys):

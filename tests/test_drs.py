@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import product
+
 import pytest
 
 from braidfrac.drs import (
@@ -101,6 +104,21 @@ def test_steps_round_trip(thompson2):
     for f in enumerate_expansions(thompson2, ("x", "x"), 3):
         again = forest_from_steps(thompson2, ("x", "x"), steps_of(f))
         assert again == f
+
+
+def test_builder_makes_deep_forests(thompson2):
+    # a left comb 1,500 nodes deep; the builder and the walks over its
+    # stored leaf counts use no recursion
+    f = forest_from_steps(thompson2, ("x",), [1] * 1500)
+    assert f.leaf_count() == 1501
+    assert steps_of(f) == [1] * 1500
+
+
+def test_builder_errors_at_later_steps(thompson2, houghton3):
+    with pytest.raises(DrsError, match=r"^position 4 out of range 1\.\.3$"):
+        forest_from_steps(thompson2, ("x",), [1, 2, 4])
+    with pytest.raises(DrsError, match="^letter 'x' at position 2 has no rule$"):
+        forest_from_steps(houghton3, ("y1",), [1, 1, 2])
 
 
 def test_parse_format_steps():
@@ -239,6 +257,40 @@ def test_forest_with_leaves(thompson2):
     f = forest_with_leaves(thompson2, ("x",), ("x",) * 3)
     assert f is not None and f.leaves() == ("x",) * 3
     assert forest_with_leaves(thompson2, ("x",), ("y",)) is None
+
+
+def _first_forest_with_leaves(drs, base, target):
+    """The breadth-first search over forests that `forest_with_leaves`
+    replaces: the first forest it finds is the reference."""
+    start = ExpansionForest.identity(drs, base)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        f = queue.popleft()
+        leaves = f.leaves()
+        if leaves == target:
+            return f
+        if len(leaves) >= len(target):
+            continue
+        for p, a in enumerate(leaves, start=1):
+            if drs.rule_for(a) is not None:
+                g = expand_at(f, p)
+                if g not in seen:
+                    seen.add(g)
+                    queue.append(g)
+    return None
+
+
+@pytest.mark.parametrize("name", ["thompson2", "houghton3", "edge2"])
+def test_forest_with_leaves_matches_forest_search(request, name):
+    drs = request.getfixturevalue(name)
+    found = 0
+    for n in range(6):
+        for target in product(drs.alphabet, repeat=n):
+            f = forest_with_leaves(drs, drs.base, target)
+            assert f == _first_forest_with_leaves(drs, drs.base, target), target
+            found += f is not None
+    assert found
 
 
 def test_forest_with_leaves_ray(houghton3):

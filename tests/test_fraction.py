@@ -11,11 +11,14 @@ import random
 from braidfrac.braids import BraidWord, DigitalBraid, act_bottom, handle_reduce
 from braidfrac.drs import (
     ExpansionForest,
+    ExpansionTree,
     _unchecked,
     complement,
+    enumerate_expansions,
     expand_at,
     forest_from_steps,
     forest_join,
+    forest_with_leaves,
     graft,
     steps_of,
 )
@@ -265,6 +268,9 @@ def test_tree_walks_leave_no_reference_cycles(t2_braided, h3_pure):
                     if drs.rule_for(letter) is not None
                 )
                 assert expand_at(e.S, p).leaf_count() > e.S.leaf_count()
+                leaves = e.S.leaves()
+                assert forest_with_leaves(drs, context.base, leaves).leaves() == leaves
+                assert e.T in enumerate_expansions(drs, context.base, len(steps_of(e.T)))
                 j, b, a = forest_join(e.T, e.S)
                 assert complement(e.T, j) == b and complement(e.S, j) == a
                 realize_pair(e.T, e.S)
@@ -284,9 +290,17 @@ def test_unchecked_values_keep_compact_storage(t2_braided):
     word = BraidWord(e.g.word.strands, e.g.word.letters)
     braid = DigitalBraid(e.g.top, e.g.bottom, word)
     element = FractionElement(e.context, forest, braid, forest)
+    # the builder stores a tree's leaf count past the frozen guard, as the
+    # `leaf_count` property does on a tree made by the constructor
+    tree = forest_from_steps(e.T.drs, ("x",), [1, 1]).trees[0]
+    made = ExpansionTree(tree.label, tree.children)
+    assert made.leaf_count == tree.leaf_count == 3
+    checks = [(tree, made)]
     for built in (forest, word, braid, element):
         cls = type(built)
-        fast = _unchecked(cls, *(getattr(built, f) for f in cls.__dataclass_fields__))
+        fields = (getattr(built, f) for f in cls.__dataclass_fields__)
+        checks.append((_unchecked(cls, *fields), built))
+    for fast, built in checks:
         assert fast == built
         assert [type(x) for x in gc.get_referents(fast)] == [
             type(x) for x in gc.get_referents(built)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from braidfrac import harness
+from braidfrac.cli import main
 from braidfrac.harness import (
     SUITE_NAMES,
     HarnessError,
@@ -68,3 +70,25 @@ def test_suites_pass_on_houghton_pure(h3_pure):
             suite, h3_pure, 5, 2, budget=4, max_braid_letters=8, degree_cap=8
         )
         assert report.failures == 0, report_format(report)
+
+
+def test_failed_trials_are_reported(monkeypatch, capsys, t2_braided):
+    # an oracle that never agrees fails every trial of the braided cone suite
+    monkeypatch.setattr(harness, "dehornoy_sign", lambda word: None)
+    report = run_suite("cone", t2_braided, 3, 0)
+    assert report.failures == 3 and not report.passed
+    assert [c.split(":")[0] for c in report.counterexamples] == [
+        "trial 0",
+        "trial 1",
+        "trial 2",
+    ]
+    lines = report_format(report).splitlines()
+    assert lines[0].startswith("suite=cone trials=3 failures=3 seed=0 time_ms=")
+    assert lines[1:3] == [
+        "counterexample:",
+        "  trial 0: lamination sign disagrees with handle reduction:",
+    ]
+    assert lines[3].startswith("  frac T=[") and len(lines) == 4
+    argv = ["axioms", "--drs", "thompson:2", "--suite", "cone", "--trials", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith("suite=cone trials=2 failures=2 seed=0 ")
