@@ -67,7 +67,7 @@ def free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidWord:
     strands: int
     letters: tuple[int, ...] = ()
@@ -275,7 +275,7 @@ def lamination_sign(w: BraidWord) -> Sign:
 
 # --- digital braids ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitalBraid:
     top: Word
     bottom: Word

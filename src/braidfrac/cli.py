@@ -41,7 +41,6 @@ from .drs import (
 )
 from .families import bh_type1, bh_type2, family_drs, parse_edge_shift
 from .fraction import (
-    DigitalBraid,
     Flavor,
     FractionElement,
     FractionError,

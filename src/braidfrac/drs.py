@@ -35,11 +35,17 @@ Positions in step sequences are 1-based: ``[2, 1]`` means "expand the letter
 at position 2 of the source word, then the letter at position 1 of the
 resulting word".  `forest_from_steps` is the one builder of a forest from a
 word and a step list, in one pass over mutable cells that are frozen at the
-end; ``identity`` and `expand_at` are calls to it, and the random grower
-(``fraction._grow_forest``) and `forest_with_leaves` work on leaf words and
-build one forest at the end.  `enumerate_expansions` makes each forest once
-from rows of trees.  Only `_collapse_caret`, used by ``normalize``, copies
-the path down to one node.
+end; ``identity`` and `expand_at` are calls to it.  The random draw
+(``fraction._draw_steps``) and `forest_with_leaves` work on leaf words, and
+build only the forests they keep.  `enumerate_expansions` makes each forest
+once from rows of trees.  Only `_collapse_caret`, used by ``normalize``,
+copies the path down to one node.
+
+Every value type of the library is a frozen, slotted dataclass, and its
+derived data is a field computed once, at construction, in its
+``__post_init__``: a tree's `leaf_count` is the sum of its children's (1 for
+a leaf), and a system's `rule_map` is filled by the loop that checks its
+rules.  Neither takes part in ``==``, ``hash`` or ``repr``.
 
 Validation happens at the trust boundary: the public constructors
 (``ExpansionForest(...)`` here, ``BraidWord``, ``DigitalBraid`` and
@@ -58,7 +64,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from typing import TypeVar
 
@@ -95,16 +100,15 @@ def _unchecked(cls: type[_T], *values: object) -> _T:
     """An instance of the dataclass `cls` with the given field values, in
     field order, built without running its `__init__` and so without its
     `__post_init__` validation.  Only for values derived by the library's
-    own operations from values that were already checked."""
+    own operations from values that were already checked, and only for
+    classes with no derived field, since `__post_init__` sets those."""
     obj = object.__new__(cls)
-    # field by field rather than through `obj.__dict__`, which would make
-    # CPython give up the instance's compact attribute storage
     for name, value in zip(cls.__dataclass_fields__, values):
         _set_field(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteRule:
     lhs: str
     rhs: Word
@@ -117,11 +121,12 @@ class RewriteRule:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitRewritingSystem:
     alphabet: tuple[str, ...]
     rules: tuple[RewriteRule, ...]
     base: Word = ()  # optional default base word
+    rule_map: dict[str, RewriteRule] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -131,23 +136,20 @@ class DigitRewritingSystem:
             if a in seen:
                 raise DrsError(f"duplicate letter {a!r} in alphabet")
             seen.add(a)
-        ruled: set[str] = set()
+        rule_map: dict[str, RewriteRule] = {}
         for r in self.rules:
             if r.lhs not in seen:
                 raise DrsError(f"rule for unknown letter {r.lhs!r}")
-            if r.lhs in ruled:
+            if r.lhs in rule_map:
                 raise DrsError(f"duplicate rule for letter {r.lhs!r}")
-            ruled.add(r.lhs)
+            rule_map[r.lhs] = r
             for u in r.rhs:
                 if u not in seen:
                     raise DrsError(f"unknown letter {u!r} in rule for {r.lhs!r}")
         for a in self.base:
             if a not in seen:
                 raise DrsError(f"unknown letter {a!r} in base word")
-
-    @cached_property
-    def rule_map(self) -> dict[str, RewriteRule]:
-        return {r.lhs: r for r in self.rules}
+        _set_field(self, "rule_map", rule_map)
 
     def rule_for(self, letter: str) -> RewriteRule | None:
         return self.rule_map.get(letter)
@@ -159,25 +161,17 @@ class DigitRewritingSystem:
         return word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionTree:
     label: str
     children: tuple["ExpansionTree", ...] = ()
+    leaf_count: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def leaf_count(self) -> int:
-        """Number of leaves; stored on first read for internal nodes as a
-        plain attribute.  `functools.cached_property` would guard it with a
-        lock on Python < 3.12, and writing through `__dict__` would make
-        CPython give up the node's compact attribute storage, which slows
-        every later attribute read on the node."""
-        if not self.children:
-            return 1
-        n = getattr(self, "_leaf_count", None)
-        if n is None:
-            n = sum(c.leaf_count for c in self.children)
-            object.__setattr__(self, "_leaf_count", n)
-        return n
+    def __post_init__(self) -> None:
+        n = 0  # a loop beats `sum` on these short rows
+        for c in self.children:
+            n += c.leaf_count
+        _set_field(self, "leaf_count", n or 1)  # 1 for a leaf
 
 
 def _check_tree(drs: DigitRewritingSystem, tree: ExpansionTree) -> None:
@@ -195,7 +189,7 @@ def _check_tree(drs: DigitRewritingSystem, tree: ExpansionTree) -> None:
         _check_tree(drs, c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionForest:
     drs: DigitRewritingSystem
     trees: tuple[ExpansionTree, ...]
@@ -478,8 +472,7 @@ def forest_from_steps(
     cells]``; a step splices the cells of the rule's right side in place of
     the leaf at its position.  The cells are then frozen in reverse order of
     making: a cell is made after its parent, so its children are frozen
-    before it, with no recursion and no reference cycle.  Each internal
-    node gets its leaf count stored, as `ExpansionTree.leaf_count` would."""
+    before it, with no recursion and no reference cycle."""
     drs.check_word(word)
     rules = drs.rule_map
     cells: list[list] = [[a, ()] for a in word]
@@ -495,16 +488,8 @@ def forest_from_steps(
         leaf[1] = kids
         leaves[p - 1 : p] = kids
         cells += kids
-    # freezing turns each cell into [tree, leaf count]
-    for cell in reversed(cells):
-        kids = cell[1]
-        if kids:
-            tree = ExpansionTree(cell[0], tuple(k[0] for k in kids))
-            n = sum(k[1] for k in kids)
-            _set_field(tree, "_leaf_count", n)
-            cell[0], cell[1] = tree, n
-        else:
-            cell[0], cell[1] = ExpansionTree(cell[0]), 1
+    for cell in reversed(cells):  # cell[0] becomes the cell's frozen tree
+        cell[0] = ExpansionTree(cell[0], tuple([k[0] for k in cell[1]]))
     return _unchecked(ExpansionForest, drs, tuple(c[0] for c in cells[: len(word)]))
 
 

@@ -120,7 +120,7 @@ class Flavor(enum.Enum):
 ORDERABLE_FLAVORS = (Flavor.BRAIDED, Flavor.PURE_BRAIDED, Flavor.PLAIN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupContext:
     drs: DigitRewritingSystem
     base: Word
@@ -132,7 +132,7 @@ class GroupContext:
         self.drs.check_word(self.base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FractionElement:
     context: GroupContext
     T: ExpansionForest
@@ -367,11 +367,11 @@ def identity_element(context: GroupContext) -> FractionElement:
 
 # --- random generation --------------------------------------------------------
 
-def _grow_forest(
+def _draw_steps(
     drs: DigitRewritingSystem, word: Word, steps: int, rng: random.Random
-) -> ExpansionForest:
-    """A forest on `word` of up to `steps` random expansions, drawn on its
-    leaf word and built once."""
+) -> tuple[Word, list[int]]:
+    """Up to `steps` random expansions of `word`, drawn on its leaf word:
+    the leaf word reached and the steps, with no forest built."""
     leaves = list(word)
     chosen: list[int] = []
     for _ in range(steps):
@@ -381,7 +381,15 @@ def _grow_forest(
         p = rng.choice(positions)
         leaves[p - 1 : p] = drs.rule_map[leaves[p - 1]].rhs
         chosen.append(p)
-    return forest_from_steps(drs, word, chosen)
+    return tuple(leaves), chosen
+
+
+def _grow_forest(
+    drs: DigitRewritingSystem, word: Word, steps: int, rng: random.Random
+) -> ExpansionForest:
+    """A forest on `word` of up to `steps` random expansions, drawn on its
+    leaf word and built once."""
+    return forest_from_steps(drs, word, _draw_steps(drs, word, steps, rng)[1])
 
 
 def _label_preserving_target(
@@ -455,16 +463,19 @@ def _braid_piece(
 def _plain_piece(
     context: GroupContext, steps: int, rng: random.Random
 ) -> FractionElement:
-    t = _grow_forest(context.drs, context.base, steps, rng)
-    s = t
+    """T and S drawn with equal leaf words, S = T if none of 64 candidate
+    draws matches; only T and the accepted S are built."""
+    drs, base = context.drs, context.base
+    top, t_steps = _draw_steps(drs, base, steps, rng)
+    s_steps = t_steps
     for _ in range(64):
-        cand = _grow_forest(context.drs, context.base, steps, rng)
-        if cand.leaves() == t.leaves():
-            s = cand
+        leaves, cand = _draw_steps(drs, base, steps, rng)
+        if leaves == top:
+            s_steps = cand
             break
-    return FractionElement(
-        context, t, DigitalBraid.identity(t.leaves()), s
-    )
+    t = forest_from_steps(drs, base, t_steps)
+    s = t if s_steps is t_steps else forest_from_steps(drs, base, s_steps)
+    return FractionElement(context, t, DigitalBraid.identity(top), s)
 
 
 def random_element(

@@ -32,6 +32,7 @@ from .drs import (
     ExpansionForest,
     _expandable,
     enumerate_expansions,
+    forest_from_steps,
     format_steps,
     graft,
     steps_of,
@@ -41,6 +42,7 @@ from .fraction import (
     Flavor,
     FractionElement,
     GroupContext,
+    _draw_steps,
     _grow_forest,
     _random_braid,
     format_element,
@@ -252,9 +254,9 @@ def _braids_equal(a: DigitalBraid, b: DigitalBraid) -> bool:
 
 
 def _random_digital_braid(context, rng, budget, letters):
-    f = _grow_forest(context.drs, context.base, rng.randint(0, budget), rng)
+    leaves, _ = _draw_steps(context.drs, context.base, rng.randint(0, budget), rng)
     pure = context.flavor is Flavor.PURE_BRAIDED
-    return _random_braid(f.leaves(), letters, rng, pure)
+    return _random_braid(leaves, letters, rng, pure)
 
 
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
@@ -334,13 +336,16 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
     # at least one step, budget permitting: at budget 0 both forests are
     # the base word
     least = min(1, budget)
-    t = _grow_forest(context.drs, context.base, rng.randint(least, budget), rng)
+    drs, base = context.drs, context.base
+    top, t_steps = _draw_steps(drs, base, rng.randint(least, budget), rng)
     for _ in range(32):
-        s = _grow_forest(context.drs, context.base, rng.randint(least, budget), rng)
-        if s.leaves() == t.leaves():
+        leaves, s_steps = _draw_steps(drs, base, rng.randint(least, budget), rng)
+        if leaves == top:
             break
     else:
         return None  # no comparable pair found; vacuous trial
+    t = forest_from_steps(drs, base, t_steps)
+    s = forest_from_steps(drs, base, s_steps)
     m = realize_pair(t, s)
     if m != pl_compose(realize_forest(t), realize_forest(s).inverse()):
         return (

@@ -268,7 +268,7 @@ def _level_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
     return free_reduce(tuple(t for t in conjugator if abs(t) != k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombedForm:
     strands: int
     components: tuple[FreeWord, ...]  # level n first, down to level 2

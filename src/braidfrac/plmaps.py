@@ -63,7 +63,7 @@ def _prune(points: list[Point]) -> tuple[Point, ...]:
     return tuple(pruned)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLMap:
     breakpoints: tuple[Point, ...]
 

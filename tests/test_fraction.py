@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+from dataclasses import is_dataclass
 
 import pytest
 
 import random
 
+import braidfrac
 from braidfrac.braids import BraidWord, DigitalBraid, act_bottom, handle_reduce
 from braidfrac.drs import (
     ExpansionForest,
@@ -28,7 +30,6 @@ from braidfrac.fraction import (
     Flavor,
     FractionElement,
     FractionError,
-    GroupContext,
     TorsionOrderError,
     _grow_forest,
     format_element,
@@ -36,6 +37,7 @@ from braidfrac.fraction import (
     parse_element,
     random_element,
 )
+from braidfrac.magnus import comb
 from braidfrac.ordering import Comparison, Sign
 from braidfrac.plmaps import realize_pair
 from conftest import make_context
@@ -281,20 +283,19 @@ def test_tree_walks_leave_no_reference_cycles(t2_braided, h3_pure):
     assert collected == 0
 
 
-def test_unchecked_values_keep_compact_storage(t2_braided):
-    # `_unchecked` must store fields as the constructor does: an instance
-    # whose __dict__ is filled directly loses CPython's compact attribute
-    # storage, and every later attribute read takes the slower dict path
+def test_unchecked_values_match_checked_values(t2_braided):
+    # `_unchecked` and the forest builder must make what the constructors
+    # make: equal values holding the same kinds of objects, and a tree's
+    # derived leaf count and hash as the constructor gives them
     e = elem(t2_braided, [1], (1,), [1])
     forest = ExpansionForest(e.T.drs, e.T.trees)
     word = BraidWord(e.g.word.strands, e.g.word.letters)
     braid = DigitalBraid(e.g.top, e.g.bottom, word)
     element = FractionElement(e.context, forest, braid, forest)
-    # the builder stores a tree's leaf count past the frozen guard, as the
-    # `leaf_count` property does on a tree made by the constructor
     tree = forest_from_steps(e.T.drs, ("x",), [1, 1]).trees[0]
     made = ExpansionTree(tree.label, tree.children)
     assert made.leaf_count == tree.leaf_count == 3
+    assert hash(made) == hash(tree)
     checks = [(tree, made)]
     for built in (forest, word, braid, element):
         cls = type(built)
@@ -305,6 +306,45 @@ def test_unchecked_values_keep_compact_storage(t2_braided):
         assert [type(x) for x in gc.get_referents(fast)] == [
             type(x) for x in gc.get_referents(built)
         ]
+
+
+def test_value_types_are_slotted(t2_pure):
+    e = elem(t2_pure, [1], (1, 1), [1])
+    values = [
+        e,
+        e.context,
+        e.context.drs,
+        e.context.drs.rules[0],
+        e.T,
+        e.T.trees[0],
+        e.g,
+        e.g.word,
+        realize_pair(e.T, e.S),
+        comb(e.g),
+    ]
+    # one value of each frozen dataclass the package exports
+    frozen = {
+        cls
+        for cls in vars(braidfrac).values()
+        if isinstance(cls, type) and is_dataclass(cls)
+        and cls.__dataclass_params__.frozen
+    }
+    assert {type(v) for v in values} == frozen
+    assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
+
+
+def test_value_reprs_and_hashes_are_unchanged():
+    # the derived fields stay out of `repr`, `==` and `hash`
+    assert repr(forest_from_steps(thompson_drs(2), ("x",), [1, 1])) == (
+        "ExpansionForest(drs=DigitRewritingSystem(alphabet=('x',), "
+        "rules=(RewriteRule(lhs='x', rhs=('x', 'x')),), base=('x',)), "
+        "trees=(ExpansionTree(label='x', children=(ExpansionTree(label='x', "
+        "children=(ExpansionTree(label='x', children=()), "
+        "ExpansionTree(label='x', children=()))), "
+        "ExpansionTree(label='x', children=()))),))"
+    )
+    one, two = thompson_drs(2), thompson_drs(2)
+    assert one is not two and one == two and hash(one) == hash(two)
 
 
 def test_group_laws_random(h3_braided):
