@@ -32,14 +32,15 @@ generator indices and ``DigitalBraid(...)`` its labels against the strand
 permutation, and `BraidWord.parse` goes through the former.  Inverses,
 products, `handle_reduce` results, composites and both outputs of
 `act_bottom` are derived from values already checked and are built without
-re-validation (`drs._unchecked`).
+re-validation, by `_braid_word` and `_digital_braid` (and `drs._forest`),
+the positional constructors that `drs._constructor` makes for each class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drs import ExpansionForest, SourceMismatchError, Word, _unchecked
+from .drs import ExpansionForest, SourceMismatchError, Word, _constructor, _forest
 from .ordering import Sign
 
 DEFAULT_STEP_BUDGET = 10**6
@@ -82,16 +83,12 @@ class BraidWord:
                 )
 
     def inverse(self) -> "BraidWord":
-        return _unchecked(
-            BraidWord, self.strands, tuple(-d for d in reversed(self.letters))
-        )
+        return _braid_word(self.strands, tuple(-d for d in reversed(self.letters)))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise BraidError("strand count mismatch")
-        return _unchecked(
-            BraidWord, self.strands, free_reduce(self.letters + other.letters)
-        )
+        return _braid_word(self.strands, free_reduce(self.letters + other.letters))
 
     def permutation(self) -> tuple[int, ...]:
         """images[i-1] = bottom position reached by the strand starting at
@@ -117,6 +114,9 @@ class BraidWord:
 
     def format(self) -> str:
         return " ".join(str(d) for d in self.letters)
+
+
+_braid_word = _constructor(BraidWord)
 
 
 def _find_handle(ls: list[int], start: int, strands: int) -> tuple[int, int] | None:
@@ -154,7 +154,7 @@ def handle_reduce(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> BraidWord:
     while True:
         h = _find_handle(ls, start, w.strands)
         if h is None:
-            return _unchecked(BraidWord, w.strands, tuple(ls))
+            return _braid_word(w.strands, tuple(ls))
         steps += 1
         if steps > budget:
             raise StepBudgetExceeded(
@@ -308,16 +308,17 @@ class DigitalBraid:
             raise LabelMismatchError(
                 f"bottom {self.bottom} does not match top {other.top}"
             )
-        return _unchecked(
-            DigitalBraid, self.top, other.bottom, self.word * other.word
-        )
+        return _digital_braid(self.top, other.bottom, self.word * other.word)
 
     def invert(self) -> "DigitalBraid":
-        return _unchecked(DigitalBraid, self.bottom, self.top, self.word.inverse())
+        return _digital_braid(self.bottom, self.top, self.word.inverse())
 
     def is_pure(self) -> bool:
         n = self.word.strands
         return self.word.permutation() == tuple(range(1, n + 1))
+
+
+_digital_braid = _constructor(DigitalBraid)
 
 
 def _block_letters(offset: int, p: int, q: int, sign: int) -> list[int]:
@@ -375,15 +376,10 @@ def act_bottom(
         )
     if not g.top:
         return b, g
-    bup = _unchecked(
-        ExpansionForest, b.drs, tuple(b.trees[p - 1] for p in g.word.permutation())
-    )
+    bup = _forest(b.drs, tuple(b.trees[p - 1] for p in g.word.permutation()))
     letters = _cable(g.word.letters, [t.leaf_count for t in bup.trees])
     leaves = bup.leaves()
-    gb = _unchecked(
-        DigitalBraid,
-        leaves,
-        b.leaves(),
-        _unchecked(BraidWord, max(len(leaves), 1), free_reduce(letters)),
+    gb = _digital_braid(
+        leaves, b.leaves(), _braid_word(max(len(leaves), 1), free_reduce(letters))
     )
     return bup, gb

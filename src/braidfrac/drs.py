@@ -54,15 +54,19 @@ check every value handed in.  `forest_from_steps` checks the word and each
 step as it applies it, so every tree it freezes follows the rules.  The
 library's own operations (`graft`, `complement`, `forest_join`, and their
 counterparts in ``braids`` and ``fraction``) build their results from values
-already checked, by rules that keep them valid, so they skip re-validation
-through `_unchecked`.  The one mix their inputs cannot rule out, forests of
-two different rewriting systems, is refused by a cheap `SystemMismatchError`
-guard.
+already checked, by rules that keep them valid, so they skip re-validation:
+each class they build this way has one positional constructor beside it,
+made once by `_constructor` (here `_forest`), which sets the fields through
+their slot descriptors.  `_constructor` refuses a class with a derived
+field, so a tree or a system is always built by its own constructor.  The
+one mix their inputs cannot rule out, forests of two different rewriting
+systems, is refused by a cheap `SystemMismatchError` guard.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TypeVar
@@ -96,16 +100,52 @@ _T = TypeVar("_T")
 _set_field = object.__setattr__  # past the frozen dataclasses' guard
 
 
-def _unchecked(cls: type[_T], *values: object) -> _T:
-    """An instance of the dataclass `cls` with the given field values, in
-    field order, built without running its `__init__` and so without its
-    `__post_init__` validation.  Only for values derived by the library's
-    own operations from values that were already checked, and only for
-    classes with no derived field, since `__post_init__` sets those."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        _set_field(obj, name, value)
-    return obj
+def _constructor(cls: type[_T]) -> Callable[..., _T]:
+    """A positional constructor of the slotted dataclass `cls`, made once
+    per class: it sets each field through its slot descriptor, without
+    running `__init__` and so without the `__post_init__` validation.  Only
+    for values derived by the library's own operations from values that
+    were already checked.  A class with a derived (``init=False``) field is
+    refused, since its `__post_init__` sets that field.  The 2-, 3- and
+    4-field cases are unrolled, so a call runs no loop."""
+    fields = cls.__dataclass_fields__.values()
+    if not all(f.init for f in fields):
+        raise TypeError(f"{cls.__name__} has a derived field")
+    new = object.__new__
+    setters = [cls.__dict__[f.name].__set__ for f in fields]
+    if len(setters) == 2:
+        set0, set1 = setters
+
+        def make(a, b):
+            obj = new(cls)
+            set0(obj, a)
+            set1(obj, b)
+            return obj
+
+    elif len(setters) == 3:
+        set0, set1, set2 = setters
+
+        def make(a, b, c):
+            obj = new(cls)
+            set0(obj, a)
+            set1(obj, b)
+            set2(obj, c)
+            return obj
+
+    elif len(setters) == 4:
+        set0, set1, set2, set3 = setters
+
+        def make(a, b, c, d):
+            obj = new(cls)
+            set0(obj, a)
+            set1(obj, b)
+            set2(obj, c)
+            set3(obj, d)
+            return obj
+
+    else:
+        raise TypeError(f"{cls.__name__} has {len(setters)} fields, not 2 to 4")
+    return make
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,6 +262,9 @@ class ExpansionForest:
         return forest_from_steps(drs, word, ())
 
 
+_forest = _constructor(ExpansionForest)
+
+
 def _check_same_system(a: ExpansionForest, b: ExpansionForest) -> None:
     if a.drs is not b.drs and a.drs != b.drs:
         raise SystemMismatchError(
@@ -278,9 +321,7 @@ def _graft(
     deep = [0, *accumulate(1 if t.children else 0 for t in trees)]
     if not deep[-1]:
         return first
-    return _unchecked(
-        ExpansionForest, first.drs, _graft_row(first.trees, trees, 0, deep)
-    )
+    return _forest(first.drs, _graft_row(first.trees, trees, 0, deep))
 
 
 def graft(first: ExpansionForest, second: ExpansionForest) -> ExpansionForest:
@@ -398,7 +439,7 @@ def complement(sub: ExpansionForest, full: ExpansionForest) -> ExpansionForest:
     _check_roots(sub, full)
     out: list[ExpansionTree] = []
     _complement_row(sub.trees, full.trees, out)
-    return _unchecked(ExpansionForest, sub.drs, tuple(out))
+    return _forest(sub.drs, tuple(out))
 
 
 def forest_join(
@@ -409,11 +450,7 @@ def forest_join(
     = J."""
     _check_roots(s, t)
     b, a, _, _ = _complements(s.trees, t.trees)
-    return (
-        _graft(s, b),
-        _unchecked(ExpansionForest, s.drs, tuple(b)),
-        _unchecked(ExpansionForest, s.drs, tuple(a)),
-    )
+    return _graft(s, b), _forest(s.drs, tuple(b)), _forest(s.drs, tuple(a))
 
 
 def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
@@ -445,7 +482,7 @@ def _collapse_caret(forest: ExpansionForest, position: int) -> ExpansionForest:
         above, j = path.pop()
         node = ExpansionTree(above[j].label, row[:i] + (node,) + row[i + 1 :])
         row, i = above, j
-    return _unchecked(ExpansionForest, forest.drs, row[:i] + (node,) + row[i + 1 :])
+    return _forest(forest.drs, row[:i] + (node,) + row[i + 1 :])
 
 
 def _carets(forest: ExpansionForest) -> list[tuple[int, ExpansionTree]]:
@@ -490,7 +527,7 @@ def forest_from_steps(
         cells += kids
     for cell in reversed(cells):  # cell[0] becomes the cell's frozen tree
         cell[0] = ExpansionTree(cell[0], tuple([k[0] for k in cell[1]]))
-    return _unchecked(ExpansionForest, drs, tuple(c[0] for c in cells[: len(word)]))
+    return _forest(drs, tuple(c[0] for c in cells[: len(word)]))
 
 
 def steps_of(forest: ExpansionForest) -> list[int]:
@@ -550,7 +587,7 @@ def enumerate_expansions(
     if depth < 0:
         raise DrsError("depth must be >= 0")
     drs.check_word(word)
-    return {_unchecked(ExpansionForest, drs, row) for row, _ in _rows(drs, word, depth)}
+    return {_forest(drs, row) for row, _ in _rows(drs, word, depth)}
 
 
 def forest_with_leaves(

@@ -53,7 +53,9 @@ Validation happens at the trust boundary: ``FractionElement(...)`` checks
 sources, leaf words, the rewriting system and the flavor's braid condition,
 and `parse_element` and the CLI's expressions go through it.  Products and
 inverses are derived from checked elements by operations that keep them
-valid, so they are built without re-validation (`drs._unchecked`).
+valid, so they are built without re-validation, by `_element` and the
+braid layer's `_digital_braid` and `_braid_word`, the positional
+constructors that `drs._constructor` makes for each class.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ from .braids import (
     DEFAULT_STEP_BUDGET,
     BraidWord,
     DigitalBraid,
+    _braid_word,
     _cable,
+    _digital_braid,
     free_reduce,
     lamination_sign,
     lamination_trivial,
@@ -83,7 +87,7 @@ from .drs import (
     _complements,
     _expandable,
     _graft,
-    _unchecked,
+    _constructor,
     forest_from_steps,
     format_steps,
     parse_steps,
@@ -179,24 +183,17 @@ class FractionElement:
             + _cable(other.g.word.letters, [len(w) for w in a_words])
         )
         top = tuple(chain.from_iterable(top_words))
-        braid = _unchecked(
-            DigitalBraid,
+        braid = _digital_braid(
             top,
             tuple(chain.from_iterable(bottom_words)),
-            _unchecked(BraidWord, max(len(top), 1), letters),
+            _braid_word(max(len(top), 1), letters),
         )
-        return _unchecked(
-            FractionElement,
-            self.context,
-            _graft(self.T, bup),
-            braid,
-            _graft(other.S, adown),
+        return _element(
+            self.context, _graft(self.T, bup), braid, _graft(other.S, adown)
         )
 
     def invert(self) -> "FractionElement":
-        return _unchecked(
-            FractionElement, self.context, self.S, self.g.invert(), self.T
-        )
+        return _element(self.context, self.S, self.g.invert(), self.T)
 
     def is_identity(self, budget: int | None = None) -> bool:
         """Structurally equal forests and a trivial braid factor.
@@ -340,7 +337,7 @@ class FractionElement:
                 letters = delete_strand(g.word.letters, n, i + 2, i + w)
                 widths = [1] * (n - w + 1)
                 widths[i] = w
-                cable = _unchecked(BraidWord, n, _cable(letters, widths))
+                cable = _braid_word(n, _cable(letters, widths))
                 rest = g.word * cable.inverse()
                 if permutation:
                     if rest.permutation() == tuple(range(1, n + 1)):
@@ -348,16 +345,18 @@ class FractionElement:
                 elif lamination_trivial(rest):
                     break
             else:
-                return _unchecked(FractionElement, self.context, t, g, s)
+                return _element(self.context, t, g, s)
             a = (caret.label,)
             t = _collapse_caret(t, i + 1)
             s = _collapse_caret(s, j + 1)
-            g = _unchecked(
-                DigitalBraid,
+            g = _digital_braid(
                 g.top[:i] + a + g.top[i + w :],
                 g.bottom[:j] + a + g.bottom[j + w :],
-                _unchecked(BraidWord, n - w + 1, letters),
+                _braid_word(n - w + 1, letters),
             )
+
+
+_element = _constructor(FractionElement)
 
 
 def identity_element(context: GroupContext) -> FractionElement:

@@ -11,6 +11,9 @@ realization.
 
 Trials are deterministic: trial i of a run with seed s uses the derived seed
 s * 1_000_003 + i, so runs are reproducible and trials independent.
+A trial that had nothing to check (the realization suite finding no two
+forests with the same leaves, or only equal ones) counts as vacuous: it
+passes, and `Report.vacuous` counts it.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class Report:
     seed: int
     time_ms: int
     counterexamples: list[str] = field(default_factory=list)
+    vacuous: int = 0  # trials that checked nothing; they still pass
 
     @property
     def passed(self) -> bool:
@@ -75,6 +79,7 @@ def report_format(r: Report) -> str:
     lines = [
         f"suite={r.suite} trials={r.trials} failures={r.failures} "
         f"seed={r.seed} time_ms={r.time_ms}"
+        + (f" vacuous={r.vacuous}" if r.vacuous else "")
     ]
     if r.counterexamples:
         lines.append("counterexample:")
@@ -145,6 +150,9 @@ def _describe(*elements: FractionElement) -> str:
 
 
 # --- suite bodies (return None on success, a description on failure) --------
+
+_VACUOUS = object()  # returned instead of None by a trial that checked nothing
+
 
 def _suite_cone(context, rng, budget, letters, degree_cap):
     u = _positive_element(context, rng, budget, letters, degree_cap)
@@ -343,7 +351,7 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
         if leaves == top:
             break
     else:
-        return None  # no comparable pair found; vacuous trial
+        return _VACUOUS  # no comparable pair found
     t = forest_from_steps(drs, base, t_steps)
     s = forest_from_steps(drs, base, s_steps)
     m = realize_pair(t, s)
@@ -359,7 +367,7 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
         )
     if realization_sign(t, s) is not pl_sign(m):
         return f"realization_sign disagrees with pl_sign on leaves {t.leaves()}"
-    return None
+    return _VACUOUS if t == s else None  # equal forests compare nothing
 
 
 _PURE = (Flavor.PURE_BRAIDED,)
@@ -398,7 +406,7 @@ def run_suite(
         raise HarnessError(f"suite {name}: runs on the {listed} only")
     if budget < 0:
         raise HarnessError(f"budget must be >= 0, got {budget}")
-    failures = 0
+    failures = vacuous = 0
     counterexamples: list[str] = []
     start = time.monotonic()
     for i in range(trials):
@@ -407,8 +415,10 @@ def run_suite(
             result = body(context, rng, budget, max_braid_letters, degree_cap)
         except HarnessError as exc:
             raise HarnessError(f"suite {name}: {exc}") from None
-        if result is not None:
+        if result is _VACUOUS:
+            vacuous += 1
+        elif result is not None:
             failures += 1
             counterexamples.append(f"trial {i}: {result}")
     elapsed = int((time.monotonic() - start) * 1000)
-    return Report(name, trials, failures, seed, elapsed, counterexamples)
+    return Report(name, trials, failures, seed, elapsed, counterexamples, vacuous)

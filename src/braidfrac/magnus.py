@@ -73,8 +73,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, DigitalBraid, free_reduce, lamination_trivial
-from .drs import _unchecked
+from .braids import (
+    BraidWord,
+    DigitalBraid,
+    _braid_word,
+    free_reduce,
+    lamination_trivial,
+)
 from .ordering import Sign
 
 FreeWord = tuple[int, ...]
@@ -379,7 +384,7 @@ def pure_word_sign(
         raise MagnusError("braid is not pure")
     k = next((k for k in range(2, m) if any(twice_lk[k * m : k * m + k])), m)
     while not lamination_trivial(
-        _unchecked(BraidWord, k - 1, delete_strand(letters, n, k, n))
+        _braid_word(k - 1, delete_strand(letters, n, k, n))
     ):
         k -= 1
     if k == m:

@@ -3,18 +3,27 @@
 from __future__ import annotations
 
 import gc
-from dataclasses import is_dataclass
+from dataclasses import FrozenInstanceError, is_dataclass
 
 import pytest
 
 import random
 
 import braidfrac
-from braidfrac.braids import BraidWord, DigitalBraid, act_bottom, handle_reduce
+from braidfrac.braids import (
+    BraidWord,
+    DigitalBraid,
+    _braid_word,
+    _digital_braid,
+    act_bottom,
+    handle_reduce,
+)
 from braidfrac.drs import (
+    DigitRewritingSystem,
     ExpansionForest,
     ExpansionTree,
-    _unchecked,
+    _constructor,
+    _forest,
     complement,
     enumerate_expansions,
     expand_at,
@@ -31,6 +40,7 @@ from braidfrac.fraction import (
     FractionElement,
     FractionError,
     TorsionOrderError,
+    _element,
     _grow_forest,
     format_element,
     identity_element,
@@ -283,9 +293,10 @@ def test_tree_walks_leave_no_reference_cycles(t2_braided, h3_pure):
     assert collected == 0
 
 
-def test_unchecked_values_match_checked_values(t2_braided):
-    # `_unchecked` and the forest builder must make what the constructors
-    # make: equal values holding the same kinds of objects, and a tree's
+def test_constructor_values_match_checked_values(t2_braided):
+    # the per-class constructors and the forest builder must make what the
+    # public constructors make: equal values with the same hash and repr,
+    # holding the same kinds of objects and still frozen, and a tree's
     # derived leaf count and hash as the constructor gives them
     e = elem(t2_braided, [1], (1,), [1])
     forest = ExpansionForest(e.T.drs, e.T.trees)
@@ -297,15 +308,29 @@ def test_unchecked_values_match_checked_values(t2_braided):
     assert made.leaf_count == tree.leaf_count == 3
     assert hash(made) == hash(tree)
     checks = [(tree, made)]
-    for built in (forest, word, braid, element):
+    constructors = (_forest, _braid_word, _digital_braid, _element)
+    for make, built in zip(constructors, (forest, word, braid, element)):
         cls = type(built)
-        fields = (getattr(built, f) for f in cls.__dataclass_fields__)
-        checks.append((_unchecked(cls, *fields), built))
+        fast = make(*(getattr(built, f) for f in cls.__dataclass_fields__))
+        assert type(fast) is cls
+        assert hash(fast) == hash(built) and repr(fast) == repr(built)
+        name = next(iter(cls.__dataclass_fields__))
+        with pytest.raises(FrozenInstanceError):
+            setattr(fast, name, getattr(built, name))
+        checks.append((fast, built))
     for fast, built in checks:
         assert fast == built
         assert [type(x) for x in gc.get_referents(fast)] == [
             type(x) for x in gc.get_referents(built)
         ]
+
+
+@pytest.mark.parametrize("cls", [ExpansionTree, DigitRewritingSystem])
+def test_constructor_refuses_derived_fields(cls):
+    # a class whose `__post_init__` sets a derived field cannot get a
+    # constructor that skips it
+    with pytest.raises(TypeError, match="derived field"):
+        _constructor(cls)
 
 
 def test_value_types_are_slotted(t2_pure):

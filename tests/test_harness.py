@@ -29,6 +29,17 @@ def test_report_format_counterexample():
     assert not r.passed
 
 
+def test_vacuous_realization_trials_are_counted(capsys):
+    # equal Houghton leaf words force equal forests: of these 30 trials, 12
+    # play s == t and 18 find no pair, so none compares two forests
+    argv = ["axioms", "--drs", "houghton:3", "--flavor", "plain"]
+    argv += ["--suite", "realization", "--trials", "30", "--seed", "0"]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("suite=realization trials=30 failures=0 seed=0 time_ms=")
+    assert line.endswith(" vacuous=30")
+
+
 def test_unknown_suite(t2_braided):
     with pytest.raises(HarnessError):
         run_suite("nonsense", t2_braided, 1, 0)
