@@ -103,6 +103,9 @@ class BraidWord:
             images[i - 1] = p
         return tuple(images)
 
+    def is_pure(self) -> bool:
+        return self.permutation() == tuple(range(1, self.strands + 1))
+
     @classmethod
     def parse(cls, strands: int, text: str) -> "BraidWord":
         tokens = text.replace(",", " ").split()
@@ -314,8 +317,7 @@ class DigitalBraid:
         return _digital_braid(self.bottom, self.top, self.word.inverse())
 
     def is_pure(self) -> bool:
-        n = self.word.strands
-        return self.word.permutation() == tuple(range(1, n + 1))
+        return self.word.is_pure()
 
 
 _digital_braid = _constructor(DigitalBraid)

@@ -38,8 +38,10 @@ word and a step list, in one pass over mutable cells that are frozen at the
 end; ``identity`` and `expand_at` are calls to it.  The random draw
 (``fraction._draw_steps``) and `forest_with_leaves` work on leaf words, and
 build only the forests they keep.  `enumerate_expansions` makes each forest
-once from rows of trees.  Only `_collapse_caret`, used by ``normalize``,
-copies the path down to one node.
+once from rows of trees.  ``normalize`` works on the step lists of its two
+forests (`_caret_steps` finds their carets; a cancelled caret is a deleted
+step) and builds each forest once, at the end, so no operation copies the
+path down to one node.
 
 Every value type of the library is a frozen, slotted dataclass, and its
 derived data is a field computed once, at construction, in its
@@ -459,48 +461,6 @@ def expand_at(forest: ExpansionForest, position: int) -> ExpansionForest:
     return forest_from_steps(forest.drs, forest.source, [*steps_of(forest), position])
 
 
-def _collapse_caret(forest: ExpansionForest, position: int) -> ExpansionForest:
-    """`forest` with the caret over its leaf at the 1-based `position` (the
-    parent of that leaf, whose children are all leaves) made a leaf.  Only
-    the nodes on the path from a root down to the caret are rebuilt.  The
-    descent, on leaf counts, and the rebuild are loops: a nested recursive
-    function would refer to itself and leave a reference cycle per call for
-    the garbage collector."""
-    path: list[tuple[tuple[ExpansionTree, ...], int]] = []
-    row, rest = forest.trees, position
-    while row:
-        i = 0
-        while rest > row[i].leaf_count:
-            rest -= row[i].leaf_count
-            i += 1
-        path.append((row, i))
-        row = row[i].children
-    path.pop()  # the leaf; the caret above it becomes a leaf
-    row, i = path.pop()
-    node = ExpansionTree(row[i].label)
-    while path:
-        above, j = path.pop()
-        node = ExpansionTree(above[j].label, row[:i] + (node,) + row[i + 1 :])
-        row, i = above, j
-    return _forest(forest.drs, row[:i] + (node,) + row[i + 1 :])
-
-
-def _carets(forest: ExpansionForest) -> list[tuple[int, ExpansionTree]]:
-    """The carets of `forest`, nodes whose children are all leaves, each
-    with the number of leaves left of it."""
-    out: list[tuple[int, ExpansionTree]] = []
-    stack = [(forest.trees, 0)]  # rows of siblings, with the leaves left of each
-    while stack:
-        row, start = stack.pop()
-        for t in row:
-            if any(c.children for c in t.children):
-                stack.append((t.children, start))
-            elif t.children:
-                out.append((start, t))
-            start += t.leaf_count
-    return out
-
-
 def forest_from_steps(
     drs: DigitRewritingSystem, word: Word, steps: list[int] | tuple[int, ...]
 ) -> ExpansionForest:
@@ -549,6 +509,29 @@ def steps_of(forest: ExpansionForest) -> list[int]:
                 end -= child.leaf_count
                 stack.append((child, end))
     return steps
+
+
+def _caret_steps(
+    drs: DigitRewritingSystem, word: Word, steps: list[int]
+) -> list[tuple[int, int, str, int]]:
+    """The carets (nodes whose children are all leaves) of the forest that
+    the outermost-first `steps` expand from `word`, as `steps_of` lists
+    them, left to right: for each, its step index, the number of leaves
+    left of it, its label and its width.  In that order a node's subtree is
+    expanded right after it, so the step at position p expanding a letter
+    of width w is a caret when the next step lies right of its children,
+    at p + w or beyond.  One replay of the leaf word gives the labels."""
+    rules = drs.rule_map
+    leaves = list(word)
+    out: list[tuple[int, int, str, int]] = []
+    for k, p in enumerate(steps):
+        label = leaves[p - 1]
+        rhs = rules[label].rhs
+        w = len(rhs)
+        leaves[p - 1 : p] = rhs
+        if k + 1 == len(steps) or steps[k + 1] >= p + w:
+            out.append((k, p - 1, label, w))
+    return out
 
 
 def _expandable(drs: DigitRewritingSystem, word: Word) -> list[int]:

@@ -82,8 +82,7 @@ from .drs import (
     DrsError,
     ExpansionForest,
     Word,
-    _carets,
-    _collapse_caret,
+    _caret_steps,
     _complements,
     _expandable,
     _graft,
@@ -321,37 +320,46 @@ class FractionElement:
         keeps every other cancellable caret cancellable (deleting the
         strands of one cable leaves g a cable along the other), so the
         result does not depend on the order.
+
+        T and S are worked on as their outermost-first step lists
+        (`steps_of`), never as forests.  `drs._caret_steps` lists the
+        carets of each, with their step indices, in one replay of the leaf
+        word.  Making a caret of width w a leaf deletes its step and moves
+        every later step, which lies right of the caret's children, w - 1
+        leaves left.  Each forest is built once, from its final list.
         """
-        t, g, s = self.T, self.g, self.S
+        drs, base, g = self.T.drs, self.T.source, self.g
+        t, s = steps_of(self.T), steps_of(self.S)
         permutation = self.context.flavor is Flavor.PERMUTATION
         while True:
             n = g.word.strands
             ends = g.word.permutation()
-            s_carets = dict(_carets(s))
-            for i, caret in _carets(t):
+            s_carets = {j: (a, k) for k, j, a, _ in _caret_steps(drs, base, s)}
+            for k, i, a, w in _caret_steps(drs, base, t):
                 j = ends[i] - 1  # leaves of S left of where strand i+1 ends
                 match = s_carets.get(j)
-                if match is None or match.label != caret.label:
+                if match is None or match[0] != a:
                     continue
-                w = len(caret.children)
                 letters = delete_strand(g.word.letters, n, i + 2, i + w)
                 widths = [1] * (n - w + 1)
                 widths[i] = w
                 cable = _braid_word(n, _cable(letters, widths))
                 rest = g.word * cable.inverse()
-                if permutation:
-                    if rest.permutation() == tuple(range(1, n + 1)):
-                        break
-                elif lamination_trivial(rest):
+                if rest.is_pure() if permutation else lamination_trivial(rest):
                     break
             else:
-                return _element(self.context, t, g, s)
-            a = (caret.label,)
-            t = _collapse_caret(t, i + 1)
-            s = _collapse_caret(s, j + 1)
+                return _element(
+                    self.context,
+                    forest_from_steps(drs, base, t),
+                    g,
+                    forest_from_steps(drs, base, s),
+                )
+            t[k:] = [p - w + 1 for p in t[k + 1 :]]
+            k = match[1]
+            s[k:] = [p - w + 1 for p in s[k + 1 :]]
             g = _digital_braid(
-                g.top[:i] + a + g.top[i + w :],
-                g.bottom[:j] + a + g.bottom[j + w :],
+                g.top[:i] + (a,) + g.top[i + w :],
+                g.bottom[:j] + (a,) + g.bottom[j + w :],
                 _braid_word(n - w + 1, letters),
             )
 

@@ -33,6 +33,22 @@ component is e(g_k), by two facts:
    The images are the same freely reduced word, so the component is the
    same letter for letter.
 
+Combing builds only the conjugator, never the image (`_level_component`).
+After each prefix of the word g, x_k maps to u x_p u^{-1} for a word u and
+a position p, starting from u = 1, p = k.  The next letter, acting by phi,
+sends x_p to v x_p' v^{-1}: a positive crossing i sends x_i to
+x_i x_{i+1} x_i^{-1} (v = x_i), a negative one sends x_{i+1} to
+x_{i+1}^{-1} x_i x_{i+1} (v = x_{i+1}^{-1}), and every other case only
+moves or fixes x_p (v = 1).  So u becomes phi(u) v and p becomes p':
+besides the action itself, the tracked u changes only by v, one letter at
+most.  The braid is pure, so p = k at the end, where
+u x_k u^{-1} = W x_k W^{-1} is x_k.g.  Then W^{-1} u commutes with x_k, and
+in a free group the centralizer of x_k is generated by x_k, so
+u = W x_k^m for some m: the tracked u can differ from W only by the right
+factor x_k^m.  Erasing x_k kills that factor, so bar(u) = bar(W), and
+freely reduced the two are the same word: e(g) is read off u letter for
+letter.
+
 Free words are then signed by the Magnus expansion x_i -> 1 + X_i into
 integer power series in noncommuting variables: order monomials by total
 degree then lexicographically, and take the sign of the lowest nonzero
@@ -244,19 +260,6 @@ def delete_strand(
     return free_reduce(tuple(out))
 
 
-def _peel_conjugator(word: FreeWord, center: int) -> FreeWord:
-    """For a reduced word of shape u (center) u^{-1}, return u."""
-    lo, hi = 0, len(word) - 1
-    while hi - lo > 0:
-        if word[lo] != -word[hi]:
-            raise MagnusError(f"word is not a conjugate of generator {center}")
-        lo += 1
-        hi -= 1
-    if lo != hi or word[lo] != center:
-        raise MagnusError(f"word is not a conjugate of generator {center}")
-    return word[: lo]
-
-
 def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
     """Braid word on k strands looping strand k once (positively) around
     strand j."""
@@ -267,10 +270,25 @@ def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
 
 def _level_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
     """Level-k component of a pure braid word on k strands: the conjugator
-    of x_k in its image, with x_k erased (facts 1 and 2 above)."""
-    image = artin_image(braid_letters, (k,))
-    conjugator = _peel_conjugator(image, k)
-    return free_reduce(tuple(t for t in conjugator if abs(t) != k))
+    u of x_k in its image, followed letter by letter as u <- phi(u) v, with
+    x_k erased (facts 1 and 2 and the paragraph after them)."""
+    u: FreeWord = ()
+    p = k
+    for d in braid_letters:
+        i = d if d > 0 else -d
+        v = 0  # the letter of v, if any
+        if p == i:
+            p = i + 1
+            if d > 0:
+                v = i
+        elif p == i + 1:
+            p = i
+            if d < 0:
+                v = -(i + 1)
+        u = artin_image((d,), u)
+        if v:
+            u = u[:-1] if u and u[-1] == -v else u + (v,)
+    return free_reduce(tuple(t for t in u if abs(t) != k))
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,7 +310,7 @@ def _level_words(letters: tuple[int, ...], n: int):
 
 
 def comb_word(letters: tuple[int, ...], n: int) -> CombedForm:
-    if BraidWord(n, letters).permutation() != tuple(range(1, n + 1)):
+    if not BraidWord(n, letters).is_pure():
         raise MagnusError("braid is not pure")
     components = tuple(
         _level_component(c, k) for k, c in _level_words(letters, n)

@@ -17,6 +17,7 @@ from braidfrac.drs import (
     RewriteRule,
     SourceMismatchError,
     SystemMismatchError,
+    _caret_steps,
     complement,
     enumerate_expansions,
     expand_at,
@@ -251,6 +252,52 @@ def test_enumerate_counts(thompson2):
     # cumulative Catalan numbers: forests over one binary root
     for depth, count in enumerate([1, 2, 4, 9, 23]):
         assert len(enumerate_expansions(thompson2, ("x",), depth)) == count
+
+
+def _carets_by_walk(row, start=0):
+    """(leaves left, label, width) of each node of `row` whose children are
+    all leaves, left to right."""
+    out = []
+    for t in row:
+        if t.children and not any(c.children for c in t.children):
+            out.append((start, t.label, len(t.children)))
+        else:
+            out += _carets_by_walk(t.children, start)
+        start += t.leaf_count
+    return out
+
+
+def _caret_made_leaf(row, left, start=0):
+    """`row` with its caret that has `left` leaves left of it made a leaf."""
+    out = []
+    for t in row:
+        if start == left and t.children and not any(c.children for c in t.children):
+            out.append(ExpansionTree(t.label))
+        else:
+            out.append(ExpansionTree(t.label, _caret_made_leaf(t.children, left, start)))
+        start += t.leaf_count
+    return tuple(out)
+
+
+@pytest.mark.parametrize("system", ["thompson2", "houghton3", "edge2"])
+def test_caret_steps_of_step_lists(request, system):
+    # the carets read off a step list are those a tree walk finds, and
+    # deleting a caret's step, with every later step moved left by the
+    # caret's width less one, replays to the forest with that caret a leaf
+    drs = request.getfixturevalue(system)
+    pool = enumerate_expansions(drs, drs.base, 4)
+    carets = 0
+    for f in pool:
+        steps = steps_of(f)
+        found = _caret_steps(drs, f.source, steps)
+        assert [c[1:] for c in found] == _carets_by_walk(f.trees)
+        for k, left, _, w in found:
+            assert steps[k] == left + 1
+            rest = steps[:k] + [p - w + 1 for p in steps[k + 1 :]]
+            made_leaf = ExpansionForest(drs, _caret_made_leaf(f.trees, left))
+            assert forest_from_steps(drs, f.source, rest) == made_leaf
+            carets += 1
+    assert carets > len(pool)
 
 
 def test_forest_with_leaves(thompson2):

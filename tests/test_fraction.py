@@ -191,15 +191,28 @@ def test_normalize_strips_matched_carets(t2_braided):
     assert n.T.leaf_count() == 1
 
 
-def test_normalize_cancels_cabled_carets(t2_braided, t2_pure, thompson2):
+def test_normalize_cancels_cabled_carets(t2_braided, t2_pure, thompson2, h3_braided):
     # the caret's two strands cross the third as one cable; the permutation
     # flavor sees only the strand permutation, so a full twist of the
     # caret's two strands is no crossing there and the caret cancels
     t2_permutation = make_context(thompson2, "permutation")
+    # both letters rewrite to a b: the cables a b cross as one, but each
+    # caret of T lies over a caret of S with the other label
+    shared = make_context(
+        edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",)),
+        "braided",
+    )
     for context, text, expected in (
         (t2_braided, "frac T=[1 1] B=[2 1] S=[1 2]", "frac T=[1] B=[1] S=[1]"),
         (t2_pure, "frac T=[1 1] B=[2 1 1 2] S=[1 1]", "frac T=[1] B=[1 1] S=[1]"),
         (t2_permutation, "frac T=[1] B=[1 1] S=[1]", "frac T=[] B=[] S=[]"),
+        # the first cancellation makes the caret that the second cancels
+        (t2_braided, "frac T=[1 2 2] B=[1 2 3] S=[1 1 1]", "frac T=[1] B=[1] S=[1]"),
+        (h3_braided, "frac T=[1] B=[3 3] S=[1]", "frac T=[] B=[2 2] S=[]"),
+        (shared, "frac T=[1 1 3] B=[2 1 3 2] S=[1 1 3]",
+         "frac T=[1 1 3] B=[2 1 3 2] S=[1 1 3]"),
+        # nothing cancels
+        (t2_braided, "frac T=[1 1] B=[1] S=[1 1]", "frac T=[1 1] B=[1] S=[1 1]"),
     ):
         assert format_element(parse_element(context, text).normalize()) == expected
 

@@ -101,6 +101,11 @@ def test_combing_standard_generator():
     assert form.components == ((1,), ())
     assert not form.is_trivial()
     assert comb_word((), 3).is_trivial()
+    # the commutator of sigma_1^2 = A_12 and sigma_2^2 = A_23, alone and
+    # followed by A_14
+    w = (1, 1, 2, 2, -1, -1, -2, -2)
+    assert comb_word(w, 3).components == ((-2, -1, 2, 1), ())
+    assert comb_word(w + a_jk(1, 4), 4).components == ((1,), (-2, -1, 2, 1), ())
     # A_jk sends x_k to x_j x_k x_j^-1, so its component is x_j at level k:
     # the components come out in the standard basis
     for k in range(2, 9):
