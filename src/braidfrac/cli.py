@@ -6,10 +6,11 @@ plain element; ``axioms`` runs a randomized verification suite and exits
 nonzero on any failure.
 
 Exit codes: 0 on success, 1 when an ``axioms`` suite has failures, 2 on
-bad input, and 3 when a query is undecided within its limits: the Magnus
-degree cap of the pure sign, or the step budget of handle reduction, which
-the ``axioms`` suites run as the oracle for the braided sign.  The braided
-sign itself is read off the lamination and always terminates.
+bad input (input nested past the recursion limit included), and 3 when a
+query is undecided within its limits: the Magnus degree cap of the pure
+sign, or the step budget of handle reduction, which the ``axioms`` suites
+run as the oracle for the braided sign.  The braided sign itself is read
+off the lamination and always terminates.
 
 Element expressions combine atoms with ``*`` and ``inv(...)``.  Atoms are
 fraction literals ``frac T=[steps] B=[braid word] S=[steps]`` or braided
@@ -34,6 +35,7 @@ from .braids import BraidError, BraidWord, StepBudgetExceeded
 from .drs import (
     DigitRewritingSystem,
     DrsError,
+    DrsParseError,
     forest_from_steps,
     forest_with_leaves,
     parse_drs,
@@ -61,14 +63,18 @@ class CliError(ValueError):
 def load_drs(name: str) -> DigitRewritingSystem:
     """An edge shift read from ``edgeshift:<file>``, a DRS file, or else,
     for a name with a colon, a family (``thompson:<n>``, ``houghton:<n>``);
-    a misspelled family is reported as one, not as a missing file."""
-    if name.startswith("edgeshift:"):
-        with open(name.split(":", 1)[1], encoding="utf-8") as fh:
-            return parse_edge_shift(fh.read())
-    if ":" in name and not os.path.isfile(name):
-        return family_drs(name)
-    with open(name, encoding="utf-8") as fh:
-        return parse_drs(fh.read())
+    a misspelled family is reported as one, not as a missing file, and a
+    file that is not UTF-8 as a parse error."""
+    try:
+        if name.startswith("edgeshift:"):
+            with open(name.split(":", 1)[1], encoding="utf-8") as fh:
+                return parse_edge_shift(fh.read())
+        if ":" in name and not os.path.isfile(name):
+            return family_drs(name)
+        with open(name, encoding="utf-8") as fh:
+            return parse_drs(fh.read())
+    except UnicodeDecodeError as exc:
+        raise DrsParseError(f"{name}: {exc}") from None
 
 
 def build_context(args: argparse.Namespace) -> GroupContext:
@@ -357,6 +363,10 @@ def main(argv: list[str] | None = None) -> int:
     except (StepBudgetExceeded, DegreeCapExceeded) as exc:
         print(f"undecided within limits: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: input nested past the recursion limit ({limit})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

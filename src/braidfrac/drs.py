@@ -38,10 +38,12 @@ word and a step list, in one pass over mutable cells that are frozen at the
 end; ``identity`` and `expand_at` are calls to it.  The random draw
 (``fraction._draw_steps``) and `forest_with_leaves` work on leaf words, and
 build only the forests they keep.  `enumerate_expansions` makes each forest
-once from rows of trees.  ``normalize`` works on the step lists of its two
-forests (`_caret_steps` finds their carets; a cancelled caret is a deleted
-step) and builds each forest once, at the end, so no operation copies the
-path down to one node.
+once from rows of trees.  `_nodes` is the one walk that places the internal
+nodes of a forest: each with the leaves left of it, outermost-first.
+`steps_of` reads its step list off it, the ``ExpansionForest(...)`` check
+runs over it, and ``normalize`` walks it; `_pruned` rebuilds a forest with
+some of those nodes made leaves by leaving their subtrees' steps out, so no
+operation copies the path down to one node.
 
 Every value type of the library is a frozen, slotted dataclass, and its
 derived data is a field computed once, at construction, in its
@@ -216,21 +218,6 @@ class ExpansionTree:
         _set_field(self, "leaf_count", n or 1)  # 1 for a leaf
 
 
-def _check_tree(drs: DigitRewritingSystem, tree: ExpansionTree) -> None:
-    if not tree.children:
-        return
-    rule = drs.rule_for(tree.label)
-    if rule is None:
-        raise DrsError(f"letter {tree.label!r} has no rule but is expanded")
-    labels = tuple(c.label for c in tree.children)
-    if labels != rule.rhs:
-        raise DrsError(
-            f"children of {tree.label!r} are {labels}, rule says {rule.rhs}"
-        )
-    for c in tree.children:
-        _check_tree(drs, c)
-
-
 @dataclass(frozen=True, slots=True)
 class ExpansionForest:
     drs: DigitRewritingSystem
@@ -238,23 +225,23 @@ class ExpansionForest:
 
     def __post_init__(self) -> None:
         self.drs.check_word(self.source)
-        for t in self.trees:
-            _check_tree(self.drs, t)
+        rules = self.drs.rule_map
+        for _, node in _nodes(self.trees):
+            rule = rules.get(node.label)
+            if rule is None:
+                raise DrsError(f"letter {node.label!r} has no rule but is expanded")
+            labels = tuple(c.label for c in node.children)
+            if labels != rule.rhs:
+                raise DrsError(
+                    f"children of {node.label!r} are {labels}, rule says {rule.rhs}"
+                )
 
     @property
     def source(self) -> Word:
         return tuple(t.label for t in self.trees)
 
     def leaves(self) -> Word:
-        out: list[str] = []
-        stack = list(reversed(self.trees))
-        while stack:
-            t = stack.pop()
-            if t.children:
-                stack.extend(reversed(t.children))
-            else:
-                out.append(t.label)
-        return tuple(out)
+        return tuple([t.label for t in _leaf_nodes(self.trees)])
 
     def leaf_count(self) -> int:
         return sum(t.leaf_count for t in self.trees)
@@ -265,6 +252,19 @@ class ExpansionForest:
 
 
 _forest = _constructor(ExpansionForest)
+
+
+def _leaf_nodes(trees: tuple[ExpansionTree, ...]) -> list[ExpansionTree]:
+    """The leaves of the trees `trees`, left to right, by a stack walk."""
+    out: list[ExpansionTree] = []
+    stack = list(reversed(trees))
+    while stack:
+        t = stack.pop()
+        if t.children:
+            stack.extend(reversed(t.children))
+        else:
+            out.append(t)
+    return out
 
 
 def _check_same_system(a: ExpansionForest, b: ExpansionForest) -> None:
@@ -372,14 +372,7 @@ def _join_row(
             continue
         # `big` is one complement tree; each of its leaves is a one-leaf
         # complement tree of the other forest
-        leaves: list[ExpansionTree] = []
-        nodes = list(reversed(big.children))
-        while nodes:
-            x = nodes.pop()
-            if x.children:
-                nodes.extend(reversed(x.children))
-            else:
-                leaves.append(x)
+        leaves = _leaf_nodes(big.children)
         labels = [x.label for x in leaves]
         trees.append(big)
         words.append(tuple(labels))
@@ -490,48 +483,50 @@ def forest_from_steps(
     return _forest(drs, tuple(c[0] for c in cells[: len(word)]))
 
 
+def _nodes(trees: tuple[ExpansionTree, ...]) -> list[tuple[int, ExpansionTree]]:
+    """Every internal node of the forest `trees` with the number of leaves
+    left of it, outermost-first and left to right: a node comes after its
+    ancestors and everything left of it, and the nodes of its subtree
+    follow it one after another, before any node right of it.  So the
+    leaves left of a node are the leaves the walk has passed."""
+    out: list[tuple[int, ExpansionTree]] = []
+    left = 0
+    stack = list(reversed(trees))
+    while stack:
+        tree = stack.pop()
+        if tree.children:
+            out.append((left, tree))
+            stack.extend(reversed(tree.children))
+        else:
+            left += 1
+    return out
+
+
 def steps_of(forest: ExpansionForest) -> list[int]:
     """A step sequence replaying to `forest` (outermost-first, left to
-    right)."""
+    right).  Every node left of a node is expanded before it, so its step
+    is the position of its first leaf in the forest itself."""
+    return [left + 1 for left, _ in _nodes(forest.trees)]
+
+
+def _pruned(forest: ExpansionForest, cuts: set[tuple[int, int]]) -> ExpansionForest:
+    """`forest` with each node made a leaf whose leaves left of it and
+    width are a pair of `cuts`; no cut lies under another.  In the
+    outermost-first step list the steps of a cut node's subtree follow its
+    own, so all of them are skipped, and every later step lies right of
+    the node and moves w - 1 leaves left, w its width."""
     steps: list[int] = []
-    # each node with the position of its first leaf, pushed right to left
-    stack: list[tuple[ExpansionTree, int]] = []
-    end = 1 + forest.leaf_count()
-    for t in reversed(forest.trees):
-        end -= t.leaf_count
-        stack.append((t, end))
-    while stack:
-        tree, pos = stack.pop()
-        if tree.children:
-            steps.append(pos)
-            end = pos + tree.leaf_count
-            for child in reversed(tree.children):
-                end -= child.leaf_count
-                stack.append((child, end))
-    return steps
-
-
-def _caret_steps(
-    drs: DigitRewritingSystem, word: Word, steps: list[int]
-) -> list[tuple[int, int, str, int]]:
-    """The carets (nodes whose children are all leaves) of the forest that
-    the outermost-first `steps` expand from `word`, as `steps_of` lists
-    them, left to right: for each, its step index, the number of leaves
-    left of it, its label and its width.  In that order a node's subtree is
-    expanded right after it, so the step at position p expanding a letter
-    of width w is a caret when the next step lies right of its children,
-    at p + w or beyond.  One replay of the leaf word gives the labels."""
-    rules = drs.rule_map
-    leaves = list(word)
-    out: list[tuple[int, int, str, int]] = []
-    for k, p in enumerate(steps):
-        label = leaves[p - 1]
-        rhs = rules[label].rhs
-        w = len(rhs)
-        leaves[p - 1 : p] = rhs
-        if k + 1 == len(steps) or steps[k + 1] >= p + w:
-            out.append((k, p - 1, label, w))
-    return out
+    end = shift = 0
+    for left, node in _nodes(forest.trees):
+        if left < end:
+            continue  # under the last cut
+        w = node.leaf_count
+        if (left, w) in cuts:
+            end = left + w
+            shift += w - 1
+        else:
+            steps.append(left + 1 - shift)
+    return forest_from_steps(forest.drs, forest.source, steps)
 
 
 def _expandable(drs: DigitRewritingSystem, word: Word) -> list[int]:

@@ -15,8 +15,9 @@ back, and the product equals, letter for letter after free reduction, the
 composition of `forest_join`, `act_bottom`, `graft` and `compose`.  Its top
 and bottom are the moved leaf words; no forest is walked again.
 Inversion swaps the forests and inverts the braid.  `normalize` runs the
-same relation backwards: it cancels a caret of T against one of S wherever
-the braid carries the caret's strands as one cable, until none cancels.
+same relation backwards in one outermost-first walk of the nodes of T: it
+cuts each node, with its whole subtree, that S holds as an equal subtree
+where the braid carries its strands as one cable.
 
 Four flavors share this arithmetic.  Braided uses arbitrary digital braids,
 PureBraided restricts to trivial strand permutations, Permutation keeps only
@@ -82,11 +83,12 @@ from .drs import (
     DrsError,
     ExpansionForest,
     Word,
-    _caret_steps,
     _complements,
+    _constructor,
     _expandable,
     _graft,
-    _constructor,
+    _nodes,
+    _pruned,
     forest_from_steps,
     format_steps,
     parse_steps,
@@ -239,7 +241,7 @@ class FractionElement:
             # quotient-first: the pure group splits as kernel-by-plain, and
             # only the quotient-first lexicographic order is two-sided
             # invariant (the braid-first cone is merely a left order)
-            q = _deviation_sign(self.T, self.S)
+            q = _deviation_sign(self.T.trees, self.S.trees)
             if q is not Sign.ZERO:
                 return q
             return pure_word_sign(
@@ -248,7 +250,7 @@ class FractionElement:
         s = lamination_sign(self.g.word)
         if s is not Sign.ZERO:
             return s
-        return _deviation_sign(self.T, self.S)
+        return _deviation_sign(self.T.trees, self.S.trees)
 
     def compare(
         self,
@@ -294,74 +296,85 @@ class FractionElement:
     # -- size control --
 
     def normalize(self) -> "FractionElement":
-        """The same element with every caret cancelled that the braid
-        carries as one cable.
+        """The same element with every subtree cancelled that T and S share
+        where the braid carries its strands as one cable.
 
         For a forest C under the bottom of g, T g S^-1 = (T C') g^C (S C)^-1,
         where C' is C moved along the strands of g to its top and g^C is g
         cabled along C; `act_bottom` and the product use this relation.
-        Read backwards for one caret: a caret of T (a node whose children
-        are all leaves) labelled a, over top positions s+1..s+w, cancels
-        when
-        - g is the cable of g', the braid g with strands s+2..s+w deleted,
-          with widths 1 except w at position s+1; the lamination action
+        Read backwards: a node x of T labelled a, with i leaves left of it
+        and w leaves, qualifies when
+        - S has a node equal to x with j leaves left of it, where strand
+          i+1 of g ends at bottom position j+1 (equal: the same root label
+          and no deviation in the walk of `plmaps._deviation_sign`, which
+          needs no recursion);
+        - g is the cable of g', the braid g with strands i+2..i+w deleted,
+          with widths 1 except w at position i+1; the lamination action
           decides this exactly on g times the inverse of the cable; the
           permutation flavor keeps only the strand permutation, so there
-          it suffices that this product permutes no strand;
-        - S has a caret labelled a over the bottom positions where those w
-          strands end.
-        Both carets then become leaves and g' is the braid.  The label
-        matters when two letters have the same right side, as in the edge
-        shift a: a b, b: a b.  A cable that no crossing touches always
-        passes; so in the plain flavor the rule cancels exactly the carets
-        that T and S share at the same positions.
+          it suffices that this product permutes no strand.
+        Both nodes then become leaves labelled a and g' is the braid.  The
+        label matters when two letters have the same right side, as in the
+        edge shift a: a b, b: a b.  A cable that no crossing touches always
+        passes; so in the plain flavor the rule cancels exactly the
+        subtrees that T and S share at the same positions.
 
-        The rule is applied until no caret cancels.  Cancelling one caret
-        keeps every other cancellable caret cancellable (deleting the
-        strands of one cable leaves g a cable along the other), so the
-        result does not depend on the order.
+        This cuts what cancelling one caret (a node whose children are all
+        leaves) at a time cuts, until no caret cancels:
+        - cabling along disjoint blocks of strands commutes, and cabling a
+          block and then a block inside it is one cabling of the outer
+          block;
+        - so g is a w-cable at i+1 exactly when cancelling the carets of x
+          one by one, bottom up, succeeds against an identical subtree of
+          S: each caret's block lies inside x's block;
+        - cancelling a subtree disjoint from x changes neither fact for x:
+          it deletes strands outside x's block and nodes outside the
+          subtrees of x and its match;
+        - so the qualifying nodes that lie under no qualifying node are the
+          fixpoint of the one-caret rule, whatever order it runs in.
 
-        T and S are worked on as their outermost-first step lists
-        (`steps_of`), never as forests.  `drs._caret_steps` lists the
-        carets of each, with their step indices, in one replay of the leaf
-        word.  Making a caret of width w a leaf deletes its step and moves
-        every later step, which lies right of the caret's children, w - 1
-        leaves left.  Each forest is built once, from its final list.
+        One walk takes T's nodes outermost-first (`drs._nodes`) and tests
+        each at most once.  A node that qualifies is cut with its whole
+        subtree, whose nodes the walk skips; after a node fails, its
+        children are tested in turn.  All tests run on g itself.  Each
+        forest is built once, from its step list without the cut subtrees
+        (`drs._pruned`), and the braid deletes the inner strands of each
+        cut right to left, which leaves the top positions of the cuts
+        still to delete in place.
         """
-        drs, base, g = self.T.drs, self.T.source, self.g
-        t, s = steps_of(self.T), steps_of(self.S)
+        g = self.g
+        n = g.word.strands
+        ends = g.word.permutation()
         permutation = self.context.flavor is Flavor.PERMUTATION
-        while True:
-            n = g.word.strands
-            ends = g.word.permutation()
-            s_carets = {j: (a, k) for k, j, a, _ in _caret_steps(drs, base, s)}
-            for k, i, a, w in _caret_steps(drs, base, t):
-                j = ends[i] - 1  # leaves of S left of where strand i+1 ends
-                match = s_carets.get(j)
-                if match is None or match[0] != a:
-                    continue
-                letters = delete_strand(g.word.letters, n, i + 2, i + w)
-                widths = [1] * (n - w + 1)
-                widths[i] = w
-                cable = _braid_word(n, _cable(letters, widths))
-                rest = g.word * cable.inverse()
-                if rest.is_pure() if permutation else lamination_trivial(rest):
-                    break
-            else:
-                return _element(
-                    self.context,
-                    forest_from_steps(drs, base, t),
-                    g,
-                    forest_from_steps(drs, base, s),
-                )
-            t[k:] = [p - w + 1 for p in t[k + 1 :]]
-            k = match[1]
-            s[k:] = [p - w + 1 for p in s[k + 1 :]]
-            g = _digital_braid(
-                g.top[:i] + (a,) + g.top[i + w :],
-                g.bottom[:j] + (a,) + g.bottom[j + w :],
-                _braid_word(n - w + 1, letters),
-            )
+        s_nodes = {(j, y.leaf_count): y for j, y in _nodes(self.S.trees)}
+        t_cuts: list[tuple[int, int]] = []
+        s_cuts: set[tuple[int, int]] = set()
+        end = 0
+        for i, x in _nodes(self.T.trees):
+            if i < end:
+                continue  # under the last cut
+            w = x.leaf_count
+            j = ends[i] - 1  # leaves of S left of where strand i+1 ends
+            y = s_nodes.get((j, w))
+            same_root = y is not None and y.label == x.label
+            if not same_root or _deviation_sign((x,), (y,)) is not Sign.ZERO:
+                continue  # no node of S equal to x there
+            widths = [1] * i + [w] + [1] * (n - w - i)
+            cable = _cable(delete_strand(g.word.letters, n, i + 2, i + w), widths)
+            rest = g.word * _braid_word(n, cable).inverse()
+            if rest.is_pure() if permutation else lamination_trivial(rest):
+                t_cuts.append((i, w))
+                s_cuts.add((j, w))
+                end = i + w
+        if not t_cuts:
+            return self
+        letters = g.word.letters
+        for i, w in reversed(t_cuts):
+            letters = delete_strand(letters, n, i + 2, i + w)
+            n -= w - 1
+        t, s = _pruned(self.T, set(t_cuts)), _pruned(self.S, s_cuts)
+        braid = _digital_braid(t.leaves(), s.leaves(), _braid_word(n, letters))
+        return _element(self.context, t, braid, s)
 
 
 _element = _constructor(FractionElement)

@@ -37,7 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .drs import ExpansionForest, SourceMismatchError
+from .drs import ExpansionForest, ExpansionTree, SourceMismatchError
 from .ordering import Sign
 
 Point = tuple[Fraction, Fraction]
@@ -199,13 +199,17 @@ def realization_sign(t: ExpansionForest, s: ExpansionForest) -> Sign:
     forests left to right to the first node expanded in one of them only;
     the pair is positive iff t has the leaf there."""
     _check_pair(t, s)
-    return _deviation_sign(t, s)
+    return _deviation_sign(t.trees, s.trees)
 
 
-def _deviation_sign(t: ExpansionForest, s: ExpansionForest) -> Sign:
-    """The walk of `realization_sign` without its check: the caller knows
-    that t and s have the same source and the same leaf word."""
-    stack = list(zip(reversed(t.trees), reversed(s.trees)))
+def _deviation_sign(
+    t: tuple[ExpansionTree, ...], s: tuple[ExpansionTree, ...]
+) -> Sign:
+    """The walk of `realization_sign` over the trees of its two forests,
+    without its check: the caller knows that they have the same roots and
+    the same leaf word.  Two trees with the same root label are equal
+    exactly when the walk finds no deviation between them."""
+    stack = list(zip(reversed(t), reversed(s)))
     while stack:
         a, b = stack.pop()
         if a is b:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,33 @@ def test_bad_family_count_is_usage_error(capsys, name):
 def test_missing_file_errors(capsys):
     code, _, err = run(capsys, "sign", "--drs", "/nonexistent.drs", "frac T=[] B=[] S=[]")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "prefix, text, message",
+    [
+        ("", b"alphabet: x\xe9\n", "byte 0xe9 in position 11: invalid continuation byte"),
+        ("edgeshift:", b"a: a b\xff\n", "byte 0xff in position 6: invalid start byte"),
+    ],
+)
+def test_non_utf8_file_is_usage_error(tmp_path, capsys, prefix, text, message):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text)
+    name = f"{prefix}{path}"
+    code, _, err = run(capsys, "sign", "--drs", name, "frac T=[] B=[] S=[]")
+    assert code == 2
+    assert err == f"error: {name}: 'utf-8' codec can't decode {message}"
+
+
+def test_deep_input_is_usage_error(capsys):
+    nested = "inv(" * 1500 + "frac T=[] B=[] S=[]" + ")" * 1500
+    comb = "frac T=[" + " 1" * 1200 + "] B=[] S=[" + " 1" * 1200 + "]"
+    limit = sys.getrecursionlimit()
+    for argv in (["sign", "--drs", "thompson:2", nested],
+                 ["mul", "--drs", "thompson:2", comb, comb]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err == f"error: input nested past the recursion limit ({limit})"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -17,7 +17,8 @@ from braidfrac.drs import (
     RewriteRule,
     SourceMismatchError,
     SystemMismatchError,
-    _caret_steps,
+    _nodes,
+    _pruned,
     complement,
     enumerate_expansions,
     expand_at,
@@ -254,50 +255,49 @@ def test_enumerate_counts(thompson2):
         assert len(enumerate_expansions(thompson2, ("x",), depth)) == count
 
 
-def _carets_by_walk(row, start=0):
-    """(leaves left, label, width) of each node of `row` whose children are
-    all leaves, left to right."""
+def _nodes_by_walk(row, start=0):
+    """(leaves left, node) of every internal node of `row`, each before
+    its children, left to right."""
     out = []
     for t in row:
-        if t.children and not any(c.children for c in t.children):
-            out.append((start, t.label, len(t.children)))
-        else:
-            out += _carets_by_walk(t.children, start)
+        if t.children:
+            out.append((start, t))
+            out += _nodes_by_walk(t.children, start)
         start += t.leaf_count
     return out
 
 
-def _caret_made_leaf(row, left, start=0):
-    """`row` with its caret that has `left` leaves left of it made a leaf."""
+def _made_leaf(row, left, width, start=0):
+    """`row` with its node that has `left` leaves left of it and `width`
+    leaves made a leaf."""
     out = []
     for t in row:
-        if start == left and t.children and not any(c.children for c in t.children):
+        if (start, t.leaf_count) == (left, width):
             out.append(ExpansionTree(t.label))
         else:
-            out.append(ExpansionTree(t.label, _caret_made_leaf(t.children, left, start)))
+            out.append(ExpansionTree(t.label, _made_leaf(t.children, left, width, start)))
         start += t.leaf_count
     return tuple(out)
 
 
 @pytest.mark.parametrize("system", ["thompson2", "houghton3", "edge2"])
-def test_caret_steps_of_step_lists(request, system):
-    # the carets read off a step list are those a tree walk finds, and
-    # deleting a caret's step, with every later step moved left by the
-    # caret's width less one, replays to the forest with that caret a leaf
+def test_nodes_steps_and_pruning(request, system):
+    # `_nodes` lists the nodes a tree walk finds, in the same order; their
+    # steps replay to the forest; and cutting any one node rebuilds the
+    # forest with that node a leaf
     drs = request.getfixturevalue(system)
     pool = enumerate_expansions(drs, drs.base, 4)
-    carets = 0
+    cuts = 0
     for f in pool:
-        steps = steps_of(f)
-        found = _caret_steps(drs, f.source, steps)
-        assert [c[1:] for c in found] == _carets_by_walk(f.trees)
-        for k, left, _, w in found:
-            assert steps[k] == left + 1
-            rest = steps[:k] + [p - w + 1 for p in steps[k + 1 :]]
-            made_leaf = ExpansionForest(drs, _caret_made_leaf(f.trees, left))
-            assert forest_from_steps(drs, f.source, rest) == made_leaf
-            carets += 1
-    assert carets > len(pool)
+        nodes = _nodes(f.trees)
+        assert nodes == _nodes_by_walk(f.trees)
+        assert steps_of(f) == [left + 1 for left, _ in nodes]
+        assert forest_from_steps(drs, f.source, steps_of(f)) == f
+        for left, node in nodes:
+            made_leaf = ExpansionForest(drs, _made_leaf(f.trees, left, node.leaf_count))
+            assert _pruned(f, {(left, node.leaf_count)}) == made_leaf
+            cuts += 1
+    assert cuts > len(pool)
 
 
 def test_forest_with_leaves(thompson2):
@@ -351,15 +351,44 @@ def _caret(label, children):
     return ExpansionTree(label, tuple(ExpansionTree(c) for c in children))
 
 
+def _constructor_error(drs, trees):
+    with pytest.raises(DrsError) as info:
+        ExpansionForest(drs, trees)
+    return str(info.value)
+
+
 def test_forest_constructor_rejects_letter_without_rule(houghton3):
-    with pytest.raises(DrsError):
-        ExpansionForest(houghton3, (_caret("x", ("x", "x")),))
+    assert _constructor_error(houghton3, (_caret("x", ("x", "x")),)) == (
+        "letter 'x' has no rule but is expanded"
+    )
 
 
 def test_forest_constructor_rejects_children_off_rule(thompson2):
-    with pytest.raises(DrsError):
-        ExpansionForest(thompson2, (_caret("x", ("x", "x", "x")),))
+    assert _constructor_error(thompson2, (_caret("x", ("x", "x", "x")),)) == (
+        "children of 'x' are ('x', 'x', 'x'), rule says ('x', 'x')"
+    )
     ExpansionForest(thompson2, (_caret("x", ("x", "x")),))
+
+
+def test_forest_constructor_reports_first_bad_node(houghton3):
+    # outermost-first: a bad node two levels down is reported before a bad
+    # node one level down right of it, in the same tree or a later one
+    x, y1, y2, y3 = (ExpansionTree(a) for a in ("x", "y1", "y2", "y3"))
+    bad_x = _caret("x", ("x", "x"))
+    deep_left = ExpansionTree("y3", (ExpansionTree("y3", (_caret("y3", ("x", "y3")), x)), bad_x))
+    assert _constructor_error(houghton3, (y1, y2, deep_left)) == (
+        "children of 'y3' are ('x', 'y3'), rule says ('y3', 'x')"
+    )
+    first_tree = ExpansionTree("y1", (ExpansionTree("y1", (y1, bad_x)), x))
+    assert _constructor_error(houghton3, (first_tree, _caret("y2", ("x", "y2")), y3)) == (
+        "letter 'x' has no rule but is expanded"
+    )
+
+
+def test_forest_constructor_checks_deep_forests(thompson2):
+    # the check walks a comb 3,000 nodes deep without recursion
+    deep = forest_from_steps(thompson2, ("x",), [1] * 3000)
+    assert ExpansionForest(thompson2, deep.trees).leaf_count() == 3001
 
 
 def test_operations_refuse_forests_of_different_systems(thompson2):

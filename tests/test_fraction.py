@@ -10,6 +10,7 @@ import pytest
 import random
 
 import braidfrac
+from braidfrac import fraction
 from braidfrac.braids import (
     BraidWord,
     DigitalBraid,
@@ -211,10 +212,37 @@ def test_normalize_cancels_cabled_carets(t2_braided, t2_pure, thompson2, h3_brai
         (h3_braided, "frac T=[1] B=[3 3] S=[1]", "frac T=[] B=[2 2] S=[]"),
         (shared, "frac T=[1 1 3] B=[2 1 3 2] S=[1 1 3]",
          "frac T=[1 1 3] B=[2 1 3 2] S=[1 1 3]"),
+        # a width-3 subtree carried as one cable cancels whole
+        (t2_braided, "frac T=[1 1 1] B=[3 2 1] S=[1 2 2]", "frac T=[1] B=[1] S=[1]"),
+        # the root fails, its left child passes
+        (t2_braided, "frac T=[1 1 1] B=[3] S=[1 1 1]", "frac T=[1 1] B=[2] S=[1 1]"),
         # nothing cancels
         (t2_braided, "frac T=[1 1] B=[1] S=[1 1]", "frac T=[1 1] B=[1] S=[1 1]"),
+        (t2_braided, "frac T=[1 1 1] B=[-1 -2 -3] S=[1 1 2]",
+         "frac T=[1 1 1] B=[-1 -2 -3] S=[1 1 2]"),
     ):
         assert format_element(parse_element(context, text).normalize()) == expected
+
+
+def test_normalize_tests_each_node_once(monkeypatch, thompson2, houghton3):
+    # every cable test cables the braid once, and no node of T is tested
+    # twice, so a call makes at most one test per step of T
+    calls = [0]
+    cable = fraction._cable
+
+    def counting(*args):
+        calls[0] += 1
+        return cable(*args)
+
+    monkeypatch.setattr(fraction, "_cable", counting)
+    for drs in (thompson2, houghton3):
+        ctx = make_context(drs, "braided")
+        for seed in range(150):
+            a, b, c = (random_element(ctx, 5, seed + k) for k in (0, 1000, 2000))
+            e = (c * a).invert() * (c * b)
+            calls[0] = 0
+            e.normalize()
+            assert calls[0] <= len(steps_of(e.T)), seed
 
 
 @pytest.mark.parametrize("flavor", ["braided", "pure", "permutation", "plain"])
