@@ -7,8 +7,18 @@ positions commute; consequently a morphism of the expansion category is
 faithfully recorded by an *expansion forest*: one rooted labeled tree per
 letter of the source word, where an internal node labeled ``a`` has children
 labeled by the right side of the rule for ``a``.  The leaves of the forest,
-read left to right, spell the target word.  Structural equality of forests is
-exactly equality of morphisms.
+read left to right, spell the target word.  Equal forests are exactly equal
+morphisms.
+
+Trees are hash-consed: ``ExpansionTree(label, children)`` returns the one
+live tree for that key, so equal trees are one object, and ``==`` and
+``hash`` of trees are those of identity.  The children in a key are already
+interned, so the key hashes by their identities, and neither a lookup nor
+``==``, ``hash`` or ``repr`` of a tree or forest recurses, however deep the
+tree.  The table holds each tree through a weak reference whose callback
+drops the tree's entry, so it keeps no dead tree alive; copying and
+unpickling a tree go back through it.  The table takes no lock: two
+threads making the same tree at once could make two objects of it.
 
 The category is cancellative and admits common right multiples: the join of
 two forests with the same source is their pointwise tree union (a node is
@@ -46,10 +56,11 @@ some of those nodes made leaves by leaving their subtrees' steps out, so no
 operation copies the path down to one node.
 
 Every value type of the library is a frozen, slotted dataclass, and its
-derived data is a field computed once, at construction, in its
-``__post_init__``: a tree's `leaf_count` is the sum of its children's (1 for
-a leaf), and a system's `rule_map` is filled by the loop that checks its
-rules.  Neither takes part in ``==``, ``hash`` or ``repr``.
+derived data is a field computed once, at construction: a tree's
+`leaf_count` is the sum of its children's (1 for a leaf), set in its
+``__new__`` when the tree is first made, and a system's `rule_map` is
+filled by the loop in its ``__post_init__`` that checks its rules.  Neither
+takes part in ``==``, ``hash`` or ``repr``.
 
 Validation happens at the trust boundary: the public constructors
 (``ExpansionForest(...)`` here, ``BraidWord``, ``DigitalBraid`` and
@@ -74,6 +85,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TypeVar
+from weakref import KeyedRef
 
 Word = tuple[str, ...]
 
@@ -205,17 +217,75 @@ class DigitRewritingSystem:
         return word
 
 
-@dataclass(frozen=True, slots=True)
-class ExpansionTree:
+class _Weakrefable:
+    """A base that gives a slotted dataclass a weak-reference slot, which
+    ``weakref_slot=True`` does only from Python 3.11 on."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
+class ExpansionTree(_Weakrefable):
+    """One tree of an expansion forest; there is one live object per
+    ``(label, children)``, so ``==`` and ``hash`` are those of identity."""
+
     label: str
     children: tuple["ExpansionTree", ...] = ()
-    leaf_count: int = field(init=False, compare=False, repr=False)
+    leaf_count: int = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, label: str, children: tuple["ExpansionTree", ...] = ()
+    ) -> "ExpansionTree":
+        key = (label, children)
+        ref = _tree_refs.get(key)
+        if ref is not None:
+            tree = ref()
+            if tree is not None:
+                return tree
+        tree = _new_object(cls)
+        _set_label(tree, label)
+        _set_children(tree, children)
         n = 0  # a loop beats `sum` on these short rows
-        for c in self.children:
+        for c in children:
             n += c.leaf_count
-        _set_field(self, "leaf_count", n or 1)  # 1 for a leaf
+        _set_leaf_count(tree, n or 1)  # 1 for a leaf
+        _tree_refs[key] = KeyedRef(tree, _drop_tree_ref, key)
+        return tree
+
+    def __reduce__(self):
+        # copies and unpickled trees come back through the table
+        return ExpansionTree, (self.label, self.children)
+
+    def __repr__(self) -> str:
+        # the dataclass form, written from a stack rather than by recursion
+        out: list[str] = []
+        stack: list[ExpansionTree | str] = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            out.append(f"ExpansionTree(label={item.label!r}, children=(")
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            for kid in reversed(kids[1:]):
+                stack += (kid, ", ")
+            stack += kids[:1]
+        return "".join(out)
+
+
+_tree_refs: dict[tuple[str, tuple[ExpansionTree, ...]], KeyedRef] = {}
+_new_object = object.__new__
+_set_label = ExpansionTree.__dict__["label"].__set__
+_set_children = ExpansionTree.__dict__["children"].__set__
+_set_leaf_count = ExpansionTree.__dict__["leaf_count"].__set__
+
+
+def _drop_tree_ref(ref: KeyedRef) -> None:
+    """Drop a dead tree's entry from the table, unless the entry is already
+    a newer tree's."""
+    if _tree_refs.get(ref.key) is ref:
+        del _tree_refs[ref.key]
 
 
 @dataclass(frozen=True, slots=True)

@@ -197,7 +197,8 @@ class FractionElement:
         return _element(self.context, self.S, self.g.invert(), self.T)
 
     def is_identity(self, budget: int | None = None) -> bool:
-        """Structurally equal forests and a trivial braid factor.
+        """Equal forests (equal trees are one object) and a trivial braid
+        factor.
 
         Braid triviality is decided by the lamination action, which needs
         no step budget; `budget` is accepted for symmetry with `sign` and
@@ -305,9 +306,8 @@ class FractionElement:
         Read backwards: a node x of T labelled a, with i leaves left of it
         and w leaves, qualifies when
         - S has a node equal to x with j leaves left of it, where strand
-          i+1 of g ends at bottom position j+1 (equal: the same root label
-          and no deviation in the walk of `plmaps._deviation_sign`, which
-          needs no recursion);
+          i+1 of g ends at bottom position j+1 (equal trees are one object,
+          so S's nodes are looked up by position and identity);
         - g is the cable of g', the braid g with strands i+2..i+w deleted,
           with widths 1 except w at position i+1; the lamination action
           decides this exactly on g times the inverse of the cable; the
@@ -346,7 +346,7 @@ class FractionElement:
         n = g.word.strands
         ends = g.word.permutation()
         permutation = self.context.flavor is Flavor.PERMUTATION
-        s_nodes = {(j, y.leaf_count): y for j, y in _nodes(self.S.trees)}
+        s_nodes = set(_nodes(self.S.trees))
         t_cuts: list[tuple[int, int]] = []
         s_cuts: set[tuple[int, int]] = set()
         end = 0
@@ -355,9 +355,7 @@ class FractionElement:
                 continue  # under the last cut
             w = x.leaf_count
             j = ends[i] - 1  # leaves of S left of where strand i+1 ends
-            y = s_nodes.get((j, w))
-            same_root = y is not None and y.label == x.label
-            if not same_root or _deviation_sign((x,), (y,)) is not Sign.ZERO:
+            if (j, x) not in s_nodes:
                 continue  # no node of S equal to x there
             widths = [1] * i + [w] + [1] * (n - w - i)
             cable = _cable(delete_strand(g.word.letters, n, i + 2, i + w), widths)

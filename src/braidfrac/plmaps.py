@@ -207,8 +207,8 @@ def _deviation_sign(
 ) -> Sign:
     """The walk of `realization_sign` over the trees of its two forests,
     without its check: the caller knows that they have the same roots and
-    the same leaf word.  Two trees with the same root label are equal
-    exactly when the walk finds no deviation between them."""
+    the same leaf word.  Equal trees are one object, so ``a is b`` skips
+    every equal subtree without walking it."""
     stack = list(zip(reversed(t), reversed(s)))
     while stack:
         a, b = stack.pop()

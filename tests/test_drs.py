@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import random
 from collections import deque
 from itertools import product
+from weakref import KeyedRef
 
 import pytest
 
@@ -17,8 +22,10 @@ from braidfrac.drs import (
     RewriteRule,
     SourceMismatchError,
     SystemMismatchError,
+    _drop_tree_ref,
     _nodes,
     _pruned,
+    _tree_refs,
     complement,
     enumerate_expansions,
     expand_at,
@@ -401,3 +408,61 @@ def test_operations_refuse_forests_of_different_systems(thompson2):
         complement(two, three)
     with pytest.raises(DrsError):
         forest_join(two, three)
+
+
+def test_equal_trees_are_one_object(thompson2):
+    # two step lists that make the same forest, and the public
+    # constructors, all give the very same tree objects
+    a = forest_from_steps(thompson2, ("x", "x"), [1, 3])
+    b = forest_from_steps(thompson2, ("x", "x"), [2, 1])
+    leaf = ExpansionTree("x")
+    caret = ExpansionTree("x", (leaf, leaf))
+    c = ExpansionForest(thompson2, (caret, caret))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a.trees[0] is a.trees[1] is b.trees[0] is b.trees[1] is caret
+    assert caret.children[0] is caret.children[1] is leaf
+    assert ExpansionTree("x", (caret, leaf)) != ExpansionTree("x", (leaf, caret))
+
+
+def test_copies_and_pickles_give_back_the_same_trees(thompson2):
+    forest = forest_from_steps(thompson2, ("x", "x"), [1, 2, 4])
+    tree = forest.trees[0]
+    for again in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert again is tree
+    for again in (
+        copy.copy(forest), copy.deepcopy(forest), pickle.loads(pickle.dumps(forest))
+    ):
+        assert again == forest
+        assert all(t is u for t, u in zip(again.trees, forest.trees, strict=True))
+
+
+def test_tree_table_frees_dropped_trees(thompson2):
+    # the table holds its trees weakly: thousands of distinct forests,
+    # built and dropped, leave it at its starting size, freed by reference
+    # counting alone
+    rng = random.Random(0)
+    gc.collect()
+    gc.disable()
+    try:
+        start = len(_tree_refs)
+        recent: deque[ExpansionForest] = deque(maxlen=100)
+        peak = start
+        for _ in range(3000):
+            steps = [rng.randint(1, k) for k in range(1, rng.randint(8, 16))]
+            recent.append(forest_from_steps(thompson2, ("x",), steps))
+            peak = max(peak, len(_tree_refs))
+        recent.clear()
+        assert peak > start + 200
+        assert len(_tree_refs) == start
+    finally:
+        gc.enable()
+
+
+def test_tree_table_callback_drops_only_its_own_entry():
+    leaf = ExpansionTree("x")
+    tree = ExpansionTree("x", (leaf, leaf))
+    key = ("x", (leaf, leaf))
+    ref = _tree_refs[key]
+    assert ref() is tree
+    _drop_tree_ref(KeyedRef(tree, None, key))  # a stale reference to the key
+    assert _tree_refs[key] is ref

@@ -346,8 +346,7 @@ def test_constructor_values_match_checked_values(t2_braided):
     element = FractionElement(e.context, forest, braid, forest)
     tree = forest_from_steps(e.T.drs, ("x",), [1, 1]).trees[0]
     made = ExpansionTree(tree.label, tree.children)
-    assert made.leaf_count == tree.leaf_count == 3
-    assert hash(made) == hash(tree)
+    assert made is tree and made.leaf_count == 3
     checks = [(tree, made)]
     constructors = (_forest, _braid_word, _digital_braid, _element)
     for make, built in zip(constructors, (forest, word, braid, element)):
@@ -411,6 +410,24 @@ def test_value_reprs_and_hashes_are_unchanged():
     )
     one, two = thompson_drs(2), thompson_drs(2)
     assert one is not two and one == two and hash(one) == hash(two)
+
+
+def test_deep_comb_needs_no_recursion(t2_braided):
+    # a comb 3,000 nodes deep, with T and S built separately: equality,
+    # hashing and repr of its trees, and the element operations below,
+    # run without recursion
+    comb = "[" + " ".join(["1"] * 3000) + "]"
+    text = f"frac T={comb} B=[] S={comb}"
+    e = parse_element(t2_braided, text)
+    again = parse_element(t2_braided, text)
+    assert e.T.trees[0] is e.S.trees[0] is again.T.trees[0]
+    assert e == again and hash(e) == hash(again)
+    assert repr(e.T).count("ExpansionTree(") == 6001
+    assert repr(e) == repr(again)
+    assert e.is_identity() and e.sign() is Sign.ZERO
+    assert e.invert() == e
+    assert e.normalize() == identity_element(t2_braided)
+    assert format_element(e) == text
 
 
 def test_group_laws_random(h3_braided):
