@@ -206,10 +206,6 @@ def dehornoy_sign(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> Sign:
     return Sign.POSITIVE if signs.pop() else Sign.NEGATIVE
 
 
-def is_trivial_word(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> bool:
-    return not handle_reduce(w, budget).letters
-
-
 # --- lamination coordinates -------------------------------------------------
 
 def lamination_initial(n: int) -> tuple[int, ...]:

@@ -28,9 +28,10 @@ obtained by structural tree subtraction.  These are the ingredients needed to
 form groups of fractions further up the stack.  `complement` subtracts one
 forest from a given upper bound.  The complements into the join come from
 one walk of the two forests (`_complements`), which never builds the join
-and also gives the leaf word of each complement tree; `forest_join` and the
-product of fractions both use it, `forest_join` builds the join as the graft
-of one complement onto its forest, and `complement` is the reference.
+and yields the complement trees only: a caller reads each tree's
+`leaf_count` and leaves off the tree itself.  `forest_join` and the product
+of fractions both use it, `forest_join` builds the join as the graft of one
+complement onto its forest, and `complement` is the reference.
 `complement` and `forest_join` share one root check (`_check_roots`): the
 two forests must belong to one system and have the same roots, in that
 order of precedence, before either walks.
@@ -81,7 +82,7 @@ systems, is refused by a cheap `SystemMismatchError` guard.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TypeVar
@@ -324,7 +325,7 @@ class ExpansionForest:
 _forest = _constructor(ExpansionForest)
 
 
-def _leaf_nodes(trees: tuple[ExpansionTree, ...]) -> list[ExpansionTree]:
+def _leaf_nodes(trees: Sequence[ExpansionTree]) -> list[ExpansionTree]:
     """The leaves of the trees `trees`, left to right, by a stack walk."""
     out: list[ExpansionTree] = []
     stack = list(reversed(trees))
@@ -412,66 +413,51 @@ def _join_row(
     t_row: tuple[ExpansionTree, ...],
     b_trees: list[ExpansionTree],
     a_trees: list[ExpansionTree],
-    b_words: list[Word],
-    a_words: list[Word],
 ) -> None:
     """The walk of `_complements` over one row of matching siblings, left
-    to right; one call per row, so one per node that both forests expand.
-    Module-level, so the recursion leaves no reference cycle."""
+    to right, appending complement trees, and nothing else, to `b_trees`
+    and `a_trees`; one call per row, so one per node that both forests
+    expand.  Module-level, so the recursion leaves no reference cycle."""
     i = 0
     for s in s_row:  # indexing `t_row` is cheaper than a zip on such short rows
         t = t_row[i]
         i += 1
-        if s.children:
-            if t.children:
-                _join_row(s.children, t.children, b_trees, a_trees, b_words, a_words)
-                continue
-            big, trees, words, leaf_trees, leaf_words = (
-                s, a_trees, a_words, b_trees, b_words
-            )
-        elif t.children:
-            big, trees, words, leaf_trees, leaf_words = (
-                t, b_trees, b_words, a_trees, a_words
-            )
-        else:
-            word = (t.label,)
+        if not s.children:
+            # t is B's tree here, and each of its leaves, t itself when t
+            # is a leaf (equal leaves are one object), is one of A's
             b_trees.append(t)
-            a_trees.append(t)
-            b_words.append(word)
-            a_words.append(word)
-            continue
-        # `big` is one complement tree; each of its leaves is a one-leaf
-        # complement tree of the other forest
-        leaves = _leaf_nodes(big.children)
-        labels = [x.label for x in leaves]
-        trees.append(big)
-        words.append(tuple(labels))
-        leaf_trees.extend(leaves)
-        leaf_words.extend([(a,) for a in labels])
+            if t.children:
+                a_trees += _leaf_nodes(t.children)
+            else:
+                a_trees.append(t)
+        elif not t.children:
+            a_trees.append(s)
+            b_trees += _leaf_nodes(s.children)
+        else:
+            _join_row(s.children, t.children, b_trees, a_trees)
 
 
 def _complements(
     s_trees: tuple[ExpansionTree, ...], t_trees: tuple[ExpansionTree, ...]
-) -> tuple[list[ExpansionTree], list[ExpansionTree], list[Word], list[Word]]:
+) -> tuple[list[ExpansionTree], list[ExpansionTree]]:
     """The complement trees B and A of two forests s, t with the same source
-    into their join J, graft(s, B) = graft(t, A) = J, with the leaf word of
-    each complement tree, from one walk of the two forests; J is not built.
+    into their join J, graft(s, B) = graft(t, A) = J, from one walk of the
+    two forests; J is not built, and the walk yields trees only, whose
+    leaves and `leaf_count` the caller reads as it needs them.
 
-    Where both forests expand a node, the walk descends.  Where both have a
-    leaf, that leaf is a one-leaf complement tree of each.  Where only one
-    has a leaf, J carries the other's subtree there: that subtree is the
-    complement tree of the leaf, and each of its leaves, gathered by one
-    stack loop, is a one-leaf complement tree of the other forest.  The
-    trees are the nodes of s and t themselves, as `complement(s, J)` and
-    `complement(t, J)` give them.  The walk (`_join_row`) makes one call
-    per node that both forests expand.
+    Where both forests expand a node, the walk descends.  Where s has a
+    leaf, J carries t's subtree there: that subtree is B's tree of the
+    leaf, and each of its leaves, gathered by one stack loop, is a one-leaf
+    tree of A; where both have a leaf, that is one object, a one-leaf tree
+    of each.  Where only t has a leaf, the same holds with the roles
+    swapped.  The trees are the nodes of s and t themselves, as
+    `complement(s, J)` and `complement(t, J)` give them.  The walk
+    (`_join_row`) makes one call per node that both forests expand.
     """
     b_trees: list[ExpansionTree] = []
     a_trees: list[ExpansionTree] = []
-    b_words: list[Word] = []
-    a_words: list[Word] = []
-    _join_row(s_trees, t_trees, b_trees, a_trees, b_words, a_words)
-    return b_trees, a_trees, b_words, a_words
+    _join_row(s_trees, t_trees, b_trees, a_trees)
+    return b_trees, a_trees
 
 
 def _complement_row(
@@ -514,7 +500,7 @@ def forest_join(
     together with the complements B, A satisfying graft(s, B) = graft(t, A)
     = J."""
     _check_roots(s, t)
-    b, a, _, _ = _complements(s.trees, t.trees)
+    b, a = _complements(s.trees, t.trees)
     return _graft(s, b), _forest(s.drs, tuple(b)), _forest(s.drs, tuple(a))
 
 

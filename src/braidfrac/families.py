@@ -57,7 +57,7 @@ def parse_edge_shift(text: str) -> DigitRewritingSystem:
     `base: ...`, `#` comments."""
     adjacency: list[tuple[str, list[str]]] = []
     seen: set[str] = set()
-    base: Word = ()
+    base: Word | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,6 +68,8 @@ def parse_edge_shift(text: str) -> DigitRewritingSystem:
         head = head.strip()
         targets = tail.split()
         if head == "base":
+            if base is not None:
+                raise DrsParseError(f"line {lineno}: duplicate base line")
             base = tuple(targets)
             continue
         if head in seen:
@@ -79,7 +81,7 @@ def parse_edge_shift(text: str) -> DigitRewritingSystem:
     if missing:
         raise DrsParseError(f"edges point to undeclared vertices: {sorted(missing)}")
     try:
-        return edge_shift_drs(adjacency, base)
+        return edge_shift_drs(adjacency, base or ())
     except DrsError as exc:
         raise DrsParseError(str(exc)) from exc
 
@@ -120,8 +122,12 @@ def bh_type2(context: Word, i: int, braid: BraidWord) -> DigitalBraid:
     return DigitalBraid(context, context, BraidWord(n, letters))
 
 
+_MAX_FAMILY_COUNT = 1000
+
+
 def family_drs(name: str) -> DigitRewritingSystem:
-    """Resolve `thompson:<n>` and `houghton:<n>` family names."""
+    """Resolve `thompson:<n>` and `houghton:<n>` family names.  A count
+    above 1000 is refused: it would only build a huge alphabet or rule."""
     family, colon, count = name.partition(":")
     make = {"thompson": thompson_drs, "houghton": houghton_drs}.get(family)
     if make is None or not colon:
@@ -132,4 +138,8 @@ def family_drs(name: str) -> DigitRewritingSystem:
         raise DrsError(
             f"family {family!r} needs an integer after ':', got {count!r}"
         ) from None
+    if n > _MAX_FAMILY_COUNT:
+        raise DrsError(
+            f"family {family!r} count must be at most {_MAX_FAMILY_COUNT}, got {n}"
+        )
     return make(n)

@@ -5,15 +5,16 @@ word and a digital braid from the leaves of T to the leaves of S, read as
 the fraction T g S^{-1}.  Multiplication pushes the middle factors through a
 common refinement.  One walk of the denominator S of the left factor and
 the numerator T' of the right factor (`drs._complements`) gives the
-complements B and A that complete them to their join, and the leaf word of
-each complement tree.  B moves along the strands of g to its top and A
-along those of g' to its bottom; each braid is cabled at its top by the
-leaf counts of the trees there (`braids._cable`), and the moved
-complements are grafted onto T and S'.  Cabling commutes with inversion,
-so g' is cabled as it stands rather than inverted, cabled and inverted
-back, and the product equals, letter for letter after free reduction, the
-composition of `forest_join`, `act_bottom`, `graft` and `compose`.  Its top
-and bottom are the moved leaf words; no forest is walked again.
+trees of the complements B and A that complete them to their join.  B
+moves along the strands of g to its top and A along those of g' to its
+bottom; each braid is cabled at its top by the leaf counts of the trees
+there (`braids._cable`, widths read off each tree's `leaf_count`), and the
+moved complements are grafted onto T and S'.  Cabling commutes with
+inversion, so g' is cabled as it stands rather than inverted, cabled and
+inverted back, and the product equals, letter for letter after free
+reduction, the composition of `forest_join`, `act_bottom`, `graft` and
+`compose`.  Its top and bottom are the leaves of the moved complement
+trees (`drs._leaf_nodes`); neither grafted forest is walked again.
 Inversion swaps the forests and inverts the braid.  `normalize` runs the
 same relation backwards in one outermost-first walk of the nodes of T: it
 cuts each node, with its whole subtree, that S holds as an equal subtree
@@ -65,7 +66,6 @@ import enum
 import random
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 from .braids import (
     DEFAULT_STEP_BUDGET,
@@ -87,6 +87,7 @@ from .drs import (
     _constructor,
     _expandable,
     _graft,
+    _leaf_nodes,
     _nodes,
     _pruned,
     forest_from_steps,
@@ -169,24 +170,22 @@ class FractionElement:
         if self.context is not other.context and self.context != other.context:
             raise ContextMismatchError("elements live in different contexts")
         # B, A complete self.S and other.T to their join; B moves to the top
-        # of self.g and A to the bottom of other.g along the strands
-        b, a, b_words, a_words = _complements(self.S.trees, other.T.trees)
-        perm = self.g.word.permutation()
-        bup = [b[p - 1] for p in perm]
-        top_words = [b_words[p - 1] for p in perm]
+        # of self.g and A to the bottom of other.g along the strands, each
+        # braid is cabled by the leaf counts of the trees at its top, and
+        # its ends are the leaves of the moved trees
+        b, a = _complements(self.S.trees, other.T.trees)
+        bup = [b[p - 1] for p in self.g.word.permutation()]
         adown = a[:]
-        bottom_words = a_words[:]
         for i, p in enumerate(other.g.word.permutation()):
             adown[p - 1] = a[i]
-            bottom_words[p - 1] = a_words[i]
         letters = free_reduce(
-            _cable(self.g.word.letters, [len(w) for w in top_words])
-            + _cable(other.g.word.letters, [len(w) for w in a_words])
+            _cable(self.g.word.letters, [t.leaf_count for t in bup])
+            + _cable(other.g.word.letters, [t.leaf_count for t in a])
         )
-        top = tuple(chain.from_iterable(top_words))
+        top = tuple([t.label for t in _leaf_nodes(bup)])
         braid = _digital_braid(
             top,
-            tuple(chain.from_iterable(bottom_words)),
+            tuple([t.label for t in _leaf_nodes(adown)]),
             _braid_word(max(len(top), 1), letters),
         )
         return _element(

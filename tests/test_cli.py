@@ -370,7 +370,10 @@ def test_missing_base_errors(tmp_path, capsys):
     assert code == 2 and "base" in err
 
 
-@pytest.mark.parametrize("name", ["thompson:x", "houghton:", "bogus:3"])
+@pytest.mark.parametrize(
+    "name",
+    ["thompson:x", "houghton:", "bogus:3", "thompson:99999999999", "houghton:1001"],
+)
 def test_bad_family_count_is_usage_error(capsys, name):
     code, _, err = run(capsys, "sign", "--drs", name, "frac T=[] B=[] S=[]")
     assert code == 2
@@ -379,6 +382,9 @@ def test_bad_family_count_is_usage_error(capsys, name):
     if name == "bogus:3":
         # read as a misspelled family, not as a missing file
         assert all(f in err for f in ("thompson", "houghton", "edgeshift")), err
+    if name.endswith(("99999999999", "1001")):
+        # refused before any alphabet or rule is built
+        assert "at most 1000" in err, err
 
 
 def test_missing_file_errors(capsys):
