@@ -64,14 +64,15 @@ def load_drs(name: str) -> DigitRewritingSystem:
     """An edge shift read from ``edgeshift:<file>``, a DRS file, or else,
     for a name with a colon, a family (``thompson:<n>``, ``houghton:<n>``);
     a misspelled family is reported as one, not as a missing file, and a
-    file that is not UTF-8 as a parse error."""
+    file that is not UTF-8 as a parse error; a leading byte-order mark is
+    dropped."""
     try:
         if name.startswith("edgeshift:"):
-            with open(name.split(":", 1)[1], encoding="utf-8") as fh:
+            with open(name.split(":", 1)[1], encoding="utf-8-sig") as fh:
                 return parse_edge_shift(fh.read())
         if ":" in name and not os.path.isfile(name):
             return family_drs(name)
-        with open(name, encoding="utf-8") as fh:
+        with open(name, encoding="utf-8-sig") as fh:
             return parse_drs(fh.read())
     except UnicodeDecodeError as exc:
         raise DrsParseError(f"{name}: {exc}") from None

@@ -73,8 +73,11 @@ counterparts in ``braids`` and ``fraction``) build their results from values
 already checked, by rules that keep them valid, so they skip re-validation:
 each class they build this way has one positional constructor beside it,
 made once by `_constructor` (here `_forest`), which sets the fields through
-their slot descriptors.  `_constructor` refuses a class with a derived
-field, so a tree or a system is always built by its own constructor.  The
+their slot descriptors.  Trees have one too, `_new_tree`, but only
+``ExpansionTree.__new__`` calls it, on a table miss, with the `leaf_count`
+it has summed, so every tree still goes through the table.
+`_constructor` refuses a class whose ``__post_init__`` sets a derived
+field, so a system is always built by its public constructor.  The
 one mix their inputs cannot rule out, forests of two different rewriting
 systems, is refused by a cheap `SystemMismatchError` guard.
 """
@@ -122,11 +125,13 @@ def _constructor(cls: type[_T]) -> Callable[..., _T]:
     per class: it sets each field through its slot descriptor, without
     running `__init__` and so without the `__post_init__` validation.  Only
     for values derived by the library's own operations from values that
-    were already checked.  A class with a derived (``init=False``) field is
-    refused, since its `__post_init__` sets that field.  The 2-, 3- and
-    4-field cases are unrolled, so a call runs no loop."""
+    were already checked.  A class with a derived (``init=False``) field
+    and a `__post_init__` is refused, since that `__post_init__` is what
+    sets the field; a tree, whose derived `leaf_count` no `__post_init__`
+    sets, gets one that its public constructor calls on a table miss.  The
+    2-, 3- and 4-field cases are unrolled, so a call runs no loop."""
     fields = cls.__dataclass_fields__.values()
-    if not all(f.init for f in fields):
+    if hasattr(cls, "__post_init__") and not all(f.init for f in fields):
         raise TypeError(f"{cls.__name__} has a derived field")
     new = object.__new__
     setters = [cls.__dict__[f.name].__set__ for f in fields]
@@ -243,13 +248,10 @@ class ExpansionTree(_Weakrefable):
             tree = ref()
             if tree is not None:
                 return tree
-        tree = _new_object(cls)
-        _set_label(tree, label)
-        _set_children(tree, children)
         n = 0  # a loop beats `sum` on these short rows
         for c in children:
             n += c.leaf_count
-        _set_leaf_count(tree, n or 1)  # 1 for a leaf
+        tree = _new_tree(label, children, n or 1)  # 1 for a leaf
         _tree_refs[key] = KeyedRef(tree, _drop_tree_ref, key)
         return tree
 
@@ -276,10 +278,7 @@ class ExpansionTree(_Weakrefable):
 
 
 _tree_refs: dict[tuple[str, tuple[ExpansionTree, ...]], KeyedRef] = {}
-_new_object = object.__new__
-_set_label = ExpansionTree.__dict__["label"].__set__
-_set_children = ExpansionTree.__dict__["children"].__set__
-_set_leaf_count = ExpansionTree.__dict__["leaf_count"].__set__
+_new_tree = _constructor(ExpansionTree)
 
 
 def _drop_tree_ref(ref: KeyedRef) -> None:
@@ -649,6 +648,17 @@ def forest_with_leaves(
     return None
 
 
+def _content_lines(text: str):
+    """Yield each line of a system file that holds more than a ``#``
+    comment, as (1-based line number, the line without its comment,
+    stripped); the one reader of the syntax `parse_drs` and
+    ``families.parse_edge_shift`` share."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_drs(text: str) -> DigitRewritingSystem:
     """Parse the line-based DRS file format.
 
@@ -657,12 +667,8 @@ def parse_drs(text: str) -> DigitRewritingSystem:
     """
     alphabet: tuple[str, ...] | None = None
     rules: list[RewriteRule] = []
-    base: Word = ()
-    saw_base = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    base: Word | None = None
+    for lineno, line in _content_lines(text):
         if line.startswith("alphabet:"):
             if alphabet is not None:
                 raise DrsParseError(f"line {lineno}: duplicate alphabet line")
@@ -685,10 +691,9 @@ def parse_drs(text: str) -> DigitRewritingSystem:
             except DrsError as exc:
                 raise DrsParseError(f"line {lineno}: {exc}") from exc
         elif line.startswith("base:"):
-            if saw_base:
+            if base is not None:
                 raise DrsParseError(f"line {lineno}: duplicate base line")
             base = tuple(line[len("base:"):].split())
-            saw_base = True
         else:
             raise DrsParseError(
                 f"line {lineno}: expected 'alphabet:', 'rule:' or 'base:'"
@@ -696,7 +701,7 @@ def parse_drs(text: str) -> DigitRewritingSystem:
     if alphabet is None:
         raise DrsParseError("missing alphabet line")
     try:
-        return DigitRewritingSystem(alphabet, tuple(rules), base)
+        return DigitRewritingSystem(alphabet, tuple(rules), base or ())
     except DrsError as exc:
         raise DrsParseError(str(exc)) from exc
 

@@ -16,7 +16,14 @@ two ray letters and leaves everything else alone.
 from __future__ import annotations
 
 from .braids import BraidWord, DigitalBraid
-from .drs import DigitRewritingSystem, DrsError, DrsParseError, RewriteRule, Word
+from .drs import (
+    DigitRewritingSystem,
+    DrsError,
+    DrsParseError,
+    RewriteRule,
+    Word,
+    _content_lines,
+)
 
 
 def thompson_drs(n: int) -> DigitRewritingSystem:
@@ -58,10 +65,7 @@ def parse_edge_shift(text: str) -> DigitRewritingSystem:
     adjacency: list[tuple[str, list[str]]] = []
     seen: set[str] = set()
     base: Word | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if ":" not in line:
             raise DrsParseError(f"line {lineno}: expected 'vertex: targets'")
         head, _, tail = line.partition(":")

@@ -96,6 +96,7 @@ from .braids import (
     free_reduce,
     lamination_trivial,
 )
+from .drs import _set_field
 from .ordering import Sign
 
 FreeWord = tuple[int, ...]
@@ -120,48 +121,40 @@ def invert_free(word: FreeWord) -> FreeWord:
 Monomial = tuple[int, ...]
 
 
+@dataclass(frozen=True, slots=True)
 class NcPolynomial:
     """Integer polynomial in noncommuting variables, truncated at a fixed
-    total degree."""
+    total degree: a frozen value whose `coeffs` maps each monomial of
+    total degree at most `degree` to its nonzero coefficient.  The
+    coefficients handed in are filtered to those, once, at construction.
+    It compares by degree and coefficients, and its dict leaves it
+    unhashable."""
 
-    __slots__ = ("degree", "coeffs")
+    degree: int
+    coeffs: dict[Monomial, int] | None = None  # a dict once constructed
 
-    def __init__(self, degree: int, coeffs: dict[Monomial, int] | None = None):
+    __hash__ = None
+
+    def __post_init__(self) -> None:
+        degree = self.degree
         if degree < 0:
             raise MagnusError("degree must be >= 0")
-        self.degree = degree
-        self.coeffs: dict[Monomial, int] = {
-            m: c for m, c in (coeffs or {}).items() if c != 0 and len(m) <= degree
-        }
+        _set_field(self, "coeffs", {
+            m: c for m, c in (self.coeffs or {}).items() if c != 0 and len(m) <= degree
+        })
 
     @classmethod
     def one(cls, degree: int) -> "NcPolynomial":
         return cls(degree, {(): 1})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, NcPolynomial)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
 
     def __mul__(self, other: "NcPolynomial") -> "NcPolynomial":
         d = min(self.degree, other.degree)
         out: dict[Monomial, int] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                if len(m1) + len(m2) > d:
-                    continue
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return NcPolynomial(d, out)
-
-    def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
-        d = min(self.degree, other.degree)
-        out = {m: c for m, c in self.coeffs.items() if len(m) <= d}
-        for m, c in other.coeffs.items():
-            if len(m) <= d:
-                out[m] = out.get(m, 0) - c
+                if len(m1) + len(m2) <= d:
+                    m = m1 + m2
+                    out[m] = out.get(m, 0) + c1 * c2
         return NcPolynomial(d, out)
 
     def lowest_term(self) -> tuple[Monomial, int] | None:
@@ -176,9 +169,6 @@ class NcPolynomial:
         if best is None:
             return None
         return best, self.coeffs[best]
-
-    def __repr__(self) -> str:
-        return f"NcPolynomial(degree={self.degree}, coeffs={self.coeffs!r})"
 
 
 def _letter_series(letter: int, degree: int) -> NcPolynomial:

@@ -363,6 +363,23 @@ def test_edge_shift_file(tmp_path, capsys):
     assert code == 0 and out == "positive"
 
 
+@pytest.mark.parametrize(
+    "prefix, text",
+    [
+        ("", "alphabet: x\nrule: x -> x x\nbase: x\n"),
+        ("edgeshift:", "a: a b\nb: a b\nbase: a\n"),
+    ],
+    ids=["drs", "edgeshift"],
+)
+def test_file_with_byte_order_mark(tmp_path, capsys, prefix, text):
+    # a UTF-8 byte-order mark before the first line is not part of it
+    path = tmp_path / "bom.txt"
+    path.write_bytes(text.encode("utf-8-sig"))
+    literal = "frac T=[1 1] B=[2] S=[1 1]"
+    code, out, err = run(capsys, "sign", "--drs", f"{prefix}{path}", literal)
+    assert (code, out, err) == (0, "positive", "")
+
+
 def test_missing_base_errors(tmp_path, capsys):
     path = tmp_path / "nobase.drs"
     path.write_text("alphabet: x\nrule: x -> x x\n")

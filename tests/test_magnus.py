@@ -10,6 +10,7 @@ is checked against combing every level (`_comb_sign`).
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -78,7 +79,22 @@ def test_magnus_of_generator():
 def test_magnus_commutator_lowest_term():
     p = magnus_expand((1, 2, -1, -2), 2)
     assert p.coeffs == {(): 1, (1, 2): 1, (2, 1): -1}
-    assert (p - NcPolynomial.one(2)).lowest_term() == ((1, 2), 1)
+    assert p.lowest_term() == ((1, 2), 1)
+
+
+def test_nc_polynomial_is_a_frozen_value():
+    p = magnus_expand((1, 2, -1, -2), 2)
+    with pytest.raises(FrozenInstanceError):
+        p.degree = 3
+    assert repr(p) == (
+        "NcPolynomial(degree=2, coeffs={(): 1, (2, 1): -1, (1, 2): 1})"
+    )
+    # equal by degree and coefficients, zero coefficients dropped
+    assert p == magnus_expand((1, 2, -1, -2), 2)
+    assert p != magnus_expand((1, 2, -1, -2), 3)
+    assert NcPolynomial(1, {(): 1, (1,): 0, (1, 1): 5}) == NcPolynomial.one(1)
+    with pytest.raises(TypeError, match=r"^unhashable type: 'NcPolynomial'$"):
+        hash(p)
 
 
 def test_free_word_sign():
