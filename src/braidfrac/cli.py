@@ -315,9 +315,6 @@ def _add_command(sub, name: str, summary: str, func, *positionals: str):
         choices=[f.value for f in Flavor],
     )
     parser.add_argument("--base", help="base word (space-separated letters)")
-    parser.add_argument(
-        "--degree-cap", type=_int_at_least(1), default=DEFAULT_DEGREE_CAP
-    )
     for positional in positionals:
         parser.add_argument(positional)
     parser.set_defaults(func=func)
@@ -330,8 +327,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="groups of braided fractions of digit rewriting systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_command(sub, "sign", "sign of an element", _cmd_sign, "expr")
-    _add_command(sub, "compare", "compare two elements", _cmd_compare, "expr1", "expr2")
+    sign_p = _add_command(sub, "sign", "sign of an element", _cmd_sign, "expr")
+    compare_p = _add_command(
+        sub, "compare", "compare two elements", _cmd_compare, "expr1", "expr2"
+    )
     p = _add_command(sub, "mul", "multiply elements", _cmd_mul)
     p.add_argument("exprs", nargs="+")
     _add_command(sub, "inv", "invert an element", _cmd_inv, "expr")
@@ -351,6 +350,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_int_at_least(0), default=6)
     p.add_argument("--max-braid-letters", type=_int_at_least(0), default=12)
+    # only the subcommands that sign read the cap
+    for s in (sign_p, compare_p, p):
+        s.add_argument("--degree-cap", type=_int_at_least(1), default=DEFAULT_DEGREE_CAP)
     return parser
 
 

@@ -52,12 +52,16 @@ letter.
 Free words are then signed by the Magnus expansion x_i -> 1 + X_i into
 integer power series in noncommuting variables: order monomials by total
 degree then lexicographically, and take the sign of the lowest nonzero
-non-constant coefficient.  The expansion of a nontrivial reduced word is
-never 1, so escalating the truncation degree terminates; a configurable cap
-turns a runaway escalation into an error instead of a silent answer.  The
-resulting order on each level, taken lexicographically quotient-first (the
-level-2 component is the most significant, level n the least), is invariant
-under conjugation, which is what the fraction groups need from their braid
+non-constant coefficient.  `magnus_expand` is the one home of the series
+product: it multiplies one coefficient dict, letter by letter, by the
+letter's truncated series, 1 + X_i for x_i and 1 - X_i + X_i^2 - ... for
+x_i^{-1}, without building that series or any polynomial per letter.  The
+expansion of a nontrivial reduced word is never 1, so escalating the
+truncation degree terminates; a configurable cap turns a runaway
+escalation into an error instead of a silent answer.  The resulting order
+on each level, taken lexicographically quotient-first (the level-2
+component is the most significant, level n the least), is invariant under
+conjugation, which is what the fraction groups need from their braid
 factor.  The opposite, kernel-first comparison is only left-invariant: the
 conjugating-type automorphisms by which the smaller group acts on each free
 level preserve the Magnus order of the level, but nothing protects a
@@ -128,7 +132,8 @@ class NcPolynomial:
     total degree at most `degree` to its nonzero coefficient.  The
     coefficients handed in are filtered to those, once, at construction.
     It compares by degree and coefficients, and its dict leaves it
-    unhashable."""
+    unhashable.  It is the result of `magnus_expand` and has no
+    arithmetic: the expansion multiplies its own dict."""
 
     degree: int
     coeffs: dict[Monomial, int] | None = None  # a dict once constructed
@@ -142,20 +147,6 @@ class NcPolynomial:
         _set_field(self, "coeffs", {
             m: c for m, c in (self.coeffs or {}).items() if c != 0 and len(m) <= degree
         })
-
-    @classmethod
-    def one(cls, degree: int) -> "NcPolynomial":
-        return cls(degree, {(): 1})
-
-    def __mul__(self, other: "NcPolynomial") -> "NcPolynomial":
-        d = min(self.degree, other.degree)
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                if len(m1) + len(m2) <= d:
-                    m = m1 + m2
-                    out[m] = out.get(m, 0) + c1 * c2
-        return NcPolynomial(d, out)
 
     def lowest_term(self) -> tuple[Monomial, int] | None:
         """Least non-constant monomial (by total degree, then index
@@ -171,23 +162,29 @@ class NcPolynomial:
         return best, self.coeffs[best]
 
 
-def _letter_series(letter: int, degree: int) -> NcPolynomial:
-    i = abs(letter)
-    if letter > 0:
-        return NcPolynomial(degree, {(): 1, (i,): 1})
-    coeffs: dict[Monomial, int] = {(): 1}
-    for t in range(1, degree + 1):
-        coeffs[(i,) * t] = (-1) ** t
-    return NcPolynomial(degree, coeffs)
-
-
 def magnus_expand(word: FreeWord, degree: int) -> NcPolynomial:
+    """Magnus expansion of a free word, truncated at `degree`.  Each letter
+    multiplies the dict by its series: every monomial m, in the dict's
+    order, adds its coefficient to m and then, with the series' signs, to
+    m X_i, m X_i^2, ... in rising power (only m X_i for x_i), so the
+    monomials come out in the same order as from a product of whole
+    series.  Zero coefficients are dropped after each letter."""
     if degree < 1:
         raise MagnusError("degree must be >= 1")
-    acc = NcPolynomial.one(degree)
+    coeffs: dict[Monomial, int] = {(): 1}
     for t in word:
-        acc = acc * _letter_series(t, degree)
-    return acc
+        x, sign = ((t,), 1) if t > 0 else ((-t,), -1)
+        out: dict[Monomial, int] = {}
+        for m, c in coeffs.items():
+            out[m] = out.get(m, 0) + c
+            while len(m) < degree:
+                m += x
+                c *= sign
+                out[m] = out.get(m, 0) + c
+                if t > 0:  # the series of x_i stops at X_i
+                    break
+        coeffs = {m: c for m, c in out.items() if c}
+    return NcPolynomial(degree, coeffs)
 
 
 def free_word_sign(word: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sign:

@@ -116,6 +116,22 @@ def test_degree_cap_must_be_positive(capsys, cap):
     assert "--degree-cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("mul", ["frac T=[1] B=[1] S=[1]"]),
+        ("inv", ["frac T=[1] B=[1] S=[1]"]),
+        ("normalize", ["frac T=[1] B=[1] S=[1]"]),
+        ("realize", ["--flavor", "plain", "frac T=[1 1] B=[] S=[1 2]"]),
+    ],
+)
+def test_degree_cap_only_where_a_sign_is_taken(capsys, command, args):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--drs", "thompson:2", "--degree-cap", "3", *args])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree-cap" in capsys.readouterr().err
+
+
 def test_compare_plain_generator_with_identity(capsys):
     code, out, _ = run(
         capsys,

@@ -9,6 +9,7 @@ is checked against combing every level (`_comb_sign`).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import FrozenInstanceError
 
@@ -73,7 +74,43 @@ def test_magnus_of_generator():
     assert p.coeffs == {(): 1, (1,): 1}
     q = magnus_expand((-1,), 2)
     assert q.coeffs == {(): 1, (1,): -1, (1, 1): 1}
-    assert (p * q).coeffs == {(): 1}
+    assert magnus_expand((1, -1), 2).coeffs == {(): 1}
+    assert magnus_expand((-1, 1), 2).coeffs == {(): 1}
+
+
+def _reduced_words(gens: int, length: int):
+    """Every freely reduced word in x_1..x_gens of at most `length`
+    letters."""
+    words = [()]
+    for w in words:
+        if len(w) < length:
+            for t in range(-gens, gens + 1):
+                if t and (not w or w[-1] != -t):
+                    words.append(w + (t,))
+    return words
+
+
+def _expansion_by_definition(word, degree):
+    """Truncated Magnus expansion summed term by term: each letter
+    contributes X_i^p, p in {0, 1} for x_i and p in 0..degree with sign
+    (-1)^p for x_i^-1, and every choice of total degree at most `degree`
+    adds its sign to the monomial it spells."""
+    powers = [range(2) if t > 0 else range(degree + 1) for t in word]
+    coeffs = {}
+    for choice in itertools.product(*powers):
+        if sum(choice) <= degree:
+            m = tuple(abs(t) for t, p in zip(word, choice) for _ in range(p))
+            sign = (-1) ** sum(p for t, p in zip(word, choice) if t < 0)
+            coeffs[m] = coeffs.get(m, 0) + sign
+    return {m: c for m, c in coeffs.items() if c}
+
+
+def test_magnus_expand_matches_definition():
+    words = _reduced_words(3, 4)
+    assert len(words) == 937
+    for w in words:
+        for d in range(1, 4):
+            assert magnus_expand(w, d).coeffs == _expansion_by_definition(w, d), (w, d)
 
 
 def test_magnus_commutator_lowest_term():
@@ -92,7 +129,7 @@ def test_nc_polynomial_is_a_frozen_value():
     # equal by degree and coefficients, zero coefficients dropped
     assert p == magnus_expand((1, 2, -1, -2), 2)
     assert p != magnus_expand((1, 2, -1, -2), 3)
-    assert NcPolynomial(1, {(): 1, (1,): 0, (1, 1): 5}) == NcPolynomial.one(1)
+    assert NcPolynomial(1, {(): 1, (1,): 0, (1, 1): 5}) == NcPolynomial(1, {(): 1})
     with pytest.raises(TypeError, match=r"^unhashable type: 'NcPolynomial'$"):
         hash(p)
 
