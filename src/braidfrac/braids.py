@@ -23,9 +23,15 @@ reduction repeatedly removes the leftmost-closing handle (a subword
 sigma_i^e u sigma_i^{-e} where u avoids generators i and i-1) and
 terminates in a word where the least occurring index shows a single sign;
 that sign is the Dehornoy sign, and the empty output characterizes the
-trivial braid.  Its step budget bounds it.  It is kept as the independent
-oracle (`dehornoy_sign`) that tests and the verification suites play
-against the lamination.
+trivial braid (P. Dehornoy, "A fast method for comparing braids", Adv.
+Math. 125 (1997)).  It runs as one resumable pass over a stack (`_reduce`)
+and is kept as the independent oracle that tests and the verification
+suites play against the lamination.  `handle_reduce` runs it to the end;
+`dehornoy_sign` stops it as soon as the least index present has a single
+sign, since no later rewrite changes the letters of that index (the proof
+is in its docstring).  The step budget bounds the rewrites made: all of
+them for `handle_reduce`, those made before the sign is settled for
+`dehornoy_sign`.
 
 Validation happens at the trust boundary: ``BraidWord(...)`` checks its
 generator indices and ``DigitalBraid(...)`` its labels against the strand
@@ -122,88 +128,126 @@ class BraidWord:
 _braid_word = _constructor(BraidWord)
 
 
-def _find_handle(ls: list[int], start: int, strands: int) -> tuple[int, int] | None:
-    """Leftmost-closing handle (k, j) with j >= start: ls[k] = -ls[j] = ±i,
-    and neither index i nor i-1 occurs between them.  The caller guarantees
-    that no handle closes before `start`.  last[g] is the latest position
-    of generator g before j, so the nearest letter of index i or i-1 is the
-    later of last[i] and last[i-1]."""
-    last = [-1] * (strands + 1)
-    for p in range(start):
-        last[abs(ls[p])] = p
-    for j in range(start, len(ls)):
-        d = ls[j]
-        i = abs(d)
-        k = last[i]
-        if k > last[i - 1] and ls[k] == -d:
-            return k, j
-        last[i] = j
-    return None
+def _reduce(w: BraidWord, budget: int, decide: bool) -> tuple[int, ...] | Sign:
+    """Handle reduction of w in one resumable pass; returns the reduced
+    letters, or with `decide`, the Dehornoy sign as soon as it is settled.
+
+    `done` holds the letters read so far: a freely reduced prefix in which
+    no handle closes.  `last[i]` is the latest position of index i in it
+    (-1 if none) and `prev[p]` the value `last` had before position p was
+    read.  The unread letters sit reversed on `todo`, and `done` plus
+    `todo` is always the freely reduced current word.  A handle closes at
+    the letter d being read when the latest letter of index i = |d| is -d
+    and lies after the latest letter of index i-1.  Whether one closes
+    there depends on the read prefix alone, so the first handle found is
+    the leftmost-closing one.  Its rewrite rolls `last` back over the
+    handle and pushes the rewritten middle back onto `todo`, to be read
+    again; free reduction happens at both of its seams.  `count[d]` counts
+    the letters d in the current word and `m` is the least index present:
+    a handle creates letters only at its own index i, present already, and
+    at i+1, so `m` never decreases.  Raises StepBudgetExceeded on rewrite
+    budget+1, and with `decide`, BraidError if the pass ends undecided,
+    which a correct reduction never does.
+    """
+    n = w.strands
+    todo = list(free_reduce(w.letters))
+    todo.reverse()
+    count = [0] * (2 * n)  # count[d] letters d: -d indexes from the end
+    for d in todo:
+        count[d] += 1
+    done: list[int] = []
+    prev: list[int] = []
+    last = [-1] * (n + 1)  # index 0 never occurs
+    m = 1
+    steps = 0
+    while True:
+        if decide:
+            while m < n and not (count[m] or count[-m]):
+                m += 1
+            if m == n:
+                return Sign.ZERO
+            if not count[-m]:
+                return Sign.POSITIVE
+            if not count[m]:
+                return Sign.NEGATIVE
+        while todo:
+            d = todo.pop()
+            i = d if d > 0 else -d
+            k = last[i]
+            if k > last[i - 1] and done[k] == -d:
+                break
+            prev.append(k)
+            last[i] = len(done)
+            done.append(d)
+        else:
+            if decide:  # a handle-free word has a single-signed least index
+                raise BraidError("handle reduction left a mixed-sign least generator")
+            return tuple(done)
+        steps += 1
+        if steps > budget:
+            raise StepBudgetExceeded(f"handle reduction exceeded {budget} rewrites")
+        # the handle done[k] .. d: roll `last` back over it while its middle
+        # is rewritten right to left onto the unread suffix, freely reduced
+        # on the way; sigma_(i+1)^s becomes sigma_(i+1)^-e sigma_i^s
+        # sigma_(i+1)^e, where e is the sign of done[k]
+        b = i + 1 if d < 0 else -i - 1
+        for p in range(len(done) - 1, k, -1):
+            x = done[p]
+            if x == i + 1 or x == -i - 1:
+                last[i + 1] = prev[p]
+                a = i if x > 0 else -i
+                count[a] += 1
+                count[-x] += 1
+                rep: tuple[int, ...] = (b, a, -b)
+            else:
+                last[abs(x)] = prev[p]
+                rep = (x,)
+            for y in rep:
+                if todo and todo[-1] == -y:
+                    todo.pop()
+                    count[y] -= 1
+                    count[-y] -= 1
+                else:
+                    todo.append(y)
+        last[i] = prev[k]
+        del done[k:], prev[k:]
+        count[i] -= 1
+        count[-i] -= 1
+        # the seam with the prefix
+        while done and todo and done[-1] == -todo[-1]:
+            y = todo.pop()
+            last[abs(y)] = prev.pop()
+            done.pop()
+            count[y] -= 1
+            count[-y] -= 1
 
 
 def handle_reduce(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> BraidWord:
     """Reduce to a word in which the least occurring generator index carries
-    a single sign; empty iff the braid is trivial.
-
-    Each rewrite replaces the leftmost-closing handle ls[k..j] and freely
-    reduces only at the seams.  Whether a handle closes at position p
-    depends on ls[:p+1] alone, and none closed before j, so the scan
-    resumes at the shortest prefix the rewrite left untouched instead of at
-    the start of the word.  Raises StepBudgetExceeded on rewrite budget+1.
-    """
-    ls = list(free_reduce(w.letters))
-    steps = 0
-    start = 0
-    while True:
-        h = _find_handle(ls, start, w.strands)
-        if h is None:
-            return _braid_word(w.strands, tuple(ls))
-        steps += 1
-        if steps > budget:
-            raise StepBudgetExceeded(
-                f"handle reduction exceeded {budget} rewrites"
-            )
-        k, j = h
-        e = 1 if ls[k] > 0 else -1
-        i = abs(ls[k])
-        # ls is freely reduced, so its prefix seeds the reduction stack and
-        # only the rewritten middle and the seam with the suffix can cancel
-        out = ls[:k]
-        start = k
-        for d in ls[k + 1 : j]:
-            if abs(d) == i + 1:
-                s = 1 if d > 0 else -1
-                rep: tuple[int, ...] = (-e * (i + 1), s * i, e * (i + 1))
-            else:
-                rep = (d,)
-            for x in rep:
-                if out and out[-1] == -x:
-                    out.pop()
-                    if len(out) < start:
-                        start = len(out)
-                else:
-                    out.append(x)
-        # the suffix is reduced too: once one of its letters stays, the
-        # rest cannot cancel
-        p = j + 1
-        while p < len(ls) and out and out[-1] == -ls[p]:
-            out.pop()
-            p += 1
-        if len(out) < start:
-            start = len(out)
-        out.extend(ls[p:])
-        ls = out
+    a single sign; empty iff the braid is trivial.  Each rewrite replaces
+    the leftmost-closing handle (`_reduce`); raises StepBudgetExceeded on
+    rewrite budget+1."""
+    return _braid_word(w.strands, _reduce(w, budget, False))
 
 
 def dehornoy_sign(w: BraidWord, budget: int = DEFAULT_STEP_BUDGET) -> Sign:
-    reduced = handle_reduce(w, budget)
-    if not reduced.letters:
-        return Sign.ZERO
-    i = min(abs(d) for d in reduced.letters)
-    signs = {d > 0 for d in reduced.letters if abs(d) == i}
-    if len(signs) != 1:
-        raise BraidError("handle reduction left a mixed-sign least generator")
-    return Sign.POSITIVE if signs.pop() else Sign.NEGATIVE
+    """Dehornoy sign of w by handle reduction, stopped as soon as it is
+    settled: ZERO when the word is empty, otherwise the sign of the least
+    index m present once the letters of index m all have one sign.
+
+    Proof that the early answer is the one full reduction gives: a handle
+    of index i needs both signs of i, so every later handle has index
+    i > m (no smaller index is present), and its rewrite creates or
+    removes letters of index i and i+1 only; a free cancellation also
+    needs both signs of its index.  So the letters of index m never change
+    again, no smaller index appears, and the fully reduced word has least
+    index m with the same one sign.  (The word at that point is already
+    sigma-positive or sigma-negative, which by Dehornoy's Property A
+    decides the sign of the braid.)  The check runs before the first
+    rewrite and after each one, so `budget` bounds the rewrites made
+    before the sign is settled: StepBudgetExceeded on rewrite budget+1.
+    """
+    return _reduce(w, budget, True)
 
 
 # --- lamination coordinates -------------------------------------------------

@@ -198,6 +198,31 @@ def test_handle_reduce_matches_full_rescan(thompson2):
     assert rewrites > len(words)  # the corpus exercises the rewriting
 
 
+def test_dehornoy_sign_matches_full_reduction(thompson2):
+    """The early-stopping sign equals the one sign of the least index of the
+    fully reduced word, or ZERO when that is empty."""
+    for w in _differential_corpus(thompson2):
+        reduced = handle_reduce(w).letters
+        if reduced:
+            m = min(abs(d) for d in reduced)
+            signs = {d > 0 for d in reduced if abs(d) == m}
+            assert len(signs) == 1, w
+            expected = Sign.POSITIVE if signs.pop() else Sign.NEGATIVE
+        else:
+            expected = Sign.ZERO
+        assert dehornoy_sign(w) is expected, w
+
+
+def test_dehornoy_sign_stops_before_rewriting():
+    # sigma_1 occurs once, so the sign is settled before the handle
+    # sigma_2 sigma_3^-1 sigma_2^-1 is rewritten
+    w = BraidWord(4, (1, 2, -3, -2))
+    assert dehornoy_sign(w, 0) is Sign.POSITIVE
+    with pytest.raises(StepBudgetExceeded):
+        handle_reduce(w, 0)
+    assert handle_reduce(w, 1).letters == (1, -3, -2, 3)
+
+
 def test_lamination_initial():
     assert lamination_initial(3) == (0, 1, 0, 1, 0, 1)
     assert lamination_apply(BraidWord(3, ())) == lamination_initial(3)
