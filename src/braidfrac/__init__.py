@@ -1,5 +1,7 @@
 """Groups of braided fractions of digit rewriting systems."""
 
+from types import ModuleType as _ModuleType
+
 from .braids import (
     BraidWord,
     DigitalBraid,
@@ -42,10 +44,10 @@ from .harness import Report, report_format, run_suite
 from .magnus import (
     CombedForm,
     NcPolynomial,
-    comb,
+    comb_word,
     free_word_sign,
     magnus_expand,
-    pure_braid_sign,
+    pure_word_sign,
     recombine,
 )
 from .ordering import Comparison, Sign
@@ -58,6 +60,10 @@ from .plmaps import (
     realize_pair,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API only: importing from the submodules also bound them here
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -213,9 +213,6 @@ class DigitRewritingSystem:
                 raise DrsError(f"unknown letter {a!r} in base word")
         _set_field(self, "rule_map", rule_map)
 
-    def rule_for(self, letter: str) -> RewriteRule | None:
-        return self.rule_map.get(letter)
-
     def check_word(self, word: Word) -> Word:
         for a in word:
             if a not in self.alphabet:
@@ -594,7 +591,7 @@ def _trees(drs: DigitRewritingSystem, label: str, budget: int):
     """Every tree rooted at `label` with at most `budget` internal nodes,
     each with its number of internal nodes."""
     yield ExpansionTree(label), 0
-    rule = drs.rule_for(label)
+    rule = drs.rule_map.get(label)
     if budget and rule is not None:
         for row, used in _rows(drs, rule.rhs, budget - 1):
             yield ExpansionTree(label, row), used + 1

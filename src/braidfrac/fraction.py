@@ -68,7 +68,6 @@ import re
 from dataclasses import dataclass
 
 from .braids import (
-    DEFAULT_STEP_BUDGET,
     BraidWord,
     DigitalBraid,
     _braid_word,
@@ -214,7 +213,7 @@ class FractionElement:
     def sign(
         self,
         degree_cap: int = DEFAULT_DEGREE_CAP,
-        budget: int = DEFAULT_STEP_BUDGET,
+        budget: int | None = None,
     ) -> Sign:
         """Sign of the element in its flavor's order.
 
@@ -256,13 +255,13 @@ class FractionElement:
         self,
         other: "FractionElement",
         degree_cap: int = DEFAULT_DEGREE_CAP,
-        budget: int = DEFAULT_STEP_BUDGET,
+        budget: int | None = None,
     ) -> Comparison:
         """LESS when self < other, that is, when self^-1 * other is
         positive.  `degree_cap` bounds the pure sign; `budget` is ignored,
         as in `sign`."""
         diff = self.invert() * other
-        s = diff.sign(degree_cap=degree_cap, budget=budget)
+        s = diff.sign(degree_cap=degree_cap)
         if s is Sign.ZERO:
             return Comparison.EQUAL
         return Comparison.LESS if s is Sign.POSITIVE else Comparison.GREATER

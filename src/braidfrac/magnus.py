@@ -85,7 +85,7 @@ reference the tests and the `cone` suite check the order against.
 `BraidWord`, as every caller passes) and does not validate them again.  It
 reads purity off the strand arrangement its linking-number pass ends with,
 so the order path neither validates the word again nor computes its
-permutation; `comb_word`, the public entry to combing, still checks its
+permutation; `comb_word`, the one entry to combing, still checks its
 input.
 """
 
@@ -95,12 +95,11 @@ from dataclasses import dataclass
 
 from .braids import (
     BraidWord,
-    DigitalBraid,
     _braid_word,
     free_reduce,
     lamination_trivial,
 )
-from .drs import _set_field
+from .drs import _constructor, _set_field
 from .ordering import Sign
 
 FreeWord = tuple[int, ...]
@@ -129,11 +128,12 @@ Monomial = tuple[int, ...]
 class NcPolynomial:
     """Integer polynomial in noncommuting variables, truncated at a fixed
     total degree: a frozen value whose `coeffs` maps each monomial of
-    total degree at most `degree` to its nonzero coefficient.  The
-    coefficients handed in are filtered to those, once, at construction.
-    It compares by degree and coefficients, and its dict leaves it
+    total degree at most `degree` to its nonzero coefficient.  The public
+    constructor filters the coefficients handed in to those, once.  It
+    compares by degree and coefficients, and its dict leaves it
     unhashable.  It is the result of `magnus_expand` and has no
-    arithmetic: the expansion multiplies its own dict."""
+    arithmetic: the expansion multiplies its own dict and hands it, already
+    filtered, to the positional constructor `_polynomial`."""
 
     degree: int
     coeffs: dict[Monomial, int] | None = None  # a dict once constructed
@@ -162,13 +162,18 @@ class NcPolynomial:
         return best, self.coeffs[best]
 
 
+_polynomial = _constructor(NcPolynomial)
+
+
 def magnus_expand(word: FreeWord, degree: int) -> NcPolynomial:
     """Magnus expansion of a free word, truncated at `degree`.  Each letter
     multiplies the dict by its series: every monomial m, in the dict's
     order, adds its coefficient to m and then, with the series' signs, to
     m X_i, m X_i^2, ... in rising power (only m X_i for x_i), so the
     monomials come out in the same order as from a product of whole
-    series.  Zero coefficients are dropped after each letter."""
+    series.  Zero coefficients are dropped after each letter and no
+    monomial grows past `degree`, so the dict is built into the result
+    without the public constructor's filter."""
     if degree < 1:
         raise MagnusError("degree must be >= 1")
     coeffs: dict[Monomial, int] = {(): 1}
@@ -184,7 +189,7 @@ def magnus_expand(word: FreeWord, degree: int) -> NcPolynomial:
                 if t > 0:  # the series of x_i stops at X_i
                     break
         coeffs = {m: c for m, c in out.items() if c}
-    return NcPolynomial(degree, coeffs)
+    return _polynomial(degree, coeffs)
 
 
 def free_word_sign(word: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sign:
@@ -283,9 +288,6 @@ class CombedForm:
     strands: int
     components: tuple[FreeWord, ...]  # level n first, down to level 2
 
-    def is_trivial(self) -> bool:
-        return all(not c for c in self.components)
-
 
 def _level_words(letters: tuple[int, ...], n: int):
     """Yield (k, g_k) per level, level n first: g_k is the word left after
@@ -303,10 +305,6 @@ def comb_word(letters: tuple[int, ...], n: int) -> CombedForm:
         _level_component(c, k) for k, c in _level_words(letters, n)
     )
     return CombedForm(n, components)
-
-
-def comb(g: DigitalBraid) -> CombedForm:
-    return comb_word(g.word.letters, g.word.strands)
 
 
 def recombine(form: CombedForm) -> BraidWord:
@@ -399,9 +397,3 @@ def pure_word_sign(
         return Sign.POSITIVE if lk > 0 else Sign.NEGATIVE
     g_k = delete_strand(letters, n, k + 1, n)
     return free_word_sign(_level_component(g_k, k), degree_cap)
-
-
-def pure_braid_sign(
-    g: DigitalBraid, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> Sign:
-    return pure_word_sign(g.word.letters, g.word.strands, degree_cap)

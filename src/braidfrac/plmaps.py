@@ -85,12 +85,6 @@ class PLMap:
         pts = [(Fraction(x), Fraction(y)) for x, y in points]
         return cls(_prune(pts))
 
-    @classmethod
-    def identity(cls, length: int) -> "PLMap":
-        if length < 1:
-            raise PLMapError("length must be >= 1")
-        return cls(((Fraction(0), Fraction(0)), (Fraction(length), Fraction(length))))
-
     @property
     def domain_length(self) -> Fraction:
         return self.breakpoints[-1][0]

@@ -459,7 +459,7 @@ def test_act_bottom_matches_reference():
                     open_leaves = [
                         p
                         for p, a in enumerate(b.leaves(), start=1)
-                        if drs.rule_for(a) is not None
+                        if a in drs.rule_map
                     ]
                     if open_leaves:
                         b = expand_at(b, rng.choice(open_leaves))

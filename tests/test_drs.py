@@ -71,8 +71,8 @@ def test_parse_drs_round_trip():
     """
     drs = parse_drs(text)
     assert drs.alphabet == ("x", "y1", "y2")
-    assert drs.rule_for("y1").rhs == ("y1", "x")
-    assert drs.rule_for("x") is None
+    assert drs.rule_map["y1"].rhs == ("y1", "x")
+    assert "x" not in drs.rule_map
     assert drs.base == ("y1", "y2")
 
 
@@ -327,7 +327,7 @@ def _first_forest_with_leaves(drs, base, target):
         if len(leaves) >= len(target):
             continue
         for p, a in enumerate(leaves, start=1):
-            if drs.rule_for(a) is not None:
+            if a in drs.rule_map:
                 g = expand_at(f, p)
                 if g not in seen:
                     seen.add(g)

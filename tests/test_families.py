@@ -20,7 +20,7 @@ from braidfrac.families import (
 def test_thompson():
     drs = thompson_drs(3)
     assert drs.alphabet == ("x",)
-    assert drs.rule_for("x").rhs == ("x", "x", "x")
+    assert drs.rule_map["x"].rhs == ("x", "x", "x")
     assert drs.base == ("x",)
     with pytest.raises(DrsError):
         thompson_drs(1)
@@ -31,8 +31,8 @@ def test_houghton():
     assert drs.alphabet == ("x", "y1", "y2", "y3")
     assert drs.base == ("y1", "y2", "y3")
     for y in ("y1", "y2", "y3"):
-        assert drs.rule_for(y).rhs == (y, "x")
-    assert drs.rule_for("x") is None
+        assert drs.rule_map[y].rhs == (y, "x")
+    assert "x" not in drs.rule_map
     with pytest.raises(DrsError):
         houghton_drs(0)
 
@@ -51,11 +51,11 @@ def test_family_names():
 def test_edge_shift():
     drs = edge_shift_drs([("a", ["a", "b"]), ("b", ["b", "a"])], base=("a",))
     assert drs.alphabet == ("a", "b")
-    assert drs.rule_for("a").rhs == ("a", "b")
+    assert drs.rule_map["a"].rhs == ("a", "b")
     with pytest.raises(DrsError):
         edge_shift_drs([("a", ["a"])])  # out-degree 1 unsupported
     sink = edge_shift_drs([("a", ["a", "b"]), ("b", [])], base=("a",))
-    assert sink.rule_for("b") is None
+    assert "b" not in sink.rule_map
 
 
 def test_parse_edge_shift():
@@ -68,7 +68,7 @@ def test_parse_edge_shift():
         """
     )
     assert drs.base == ("a",)
-    assert drs.rule_for("b").rhs == ("b", "a")
+    assert drs.rule_map["b"].rhs == ("b", "a")
     with pytest.raises(DrsParseError):
         parse_edge_shift("a: a c")  # c never declared
     with pytest.raises(DrsParseError):

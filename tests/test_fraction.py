@@ -48,7 +48,7 @@ from braidfrac.fraction import (
     parse_element,
     random_element,
 )
-from braidfrac.magnus import comb, magnus_expand
+from braidfrac.magnus import comb_word, magnus_expand
 from braidfrac.ordering import Comparison, Sign
 from braidfrac.plmaps import realize_pair
 from conftest import make_context
@@ -318,7 +318,7 @@ def test_tree_walks_leave_no_reference_cycles(t2_braided, h3_pure):
                 p = next(
                     p
                     for p, letter in enumerate(e.S.leaves(), start=1)
-                    if drs.rule_for(letter) is not None
+                    if letter in drs.rule_map
                 )
                 assert expand_at(e.S, p).leaf_count() > e.S.leaf_count()
                 leaves = e.S.leaves()
@@ -386,7 +386,7 @@ def test_value_types_are_slotted(t2_pure):
         e.g,
         e.g.word,
         realize_pair(e.T, e.S),
-        comb(e.g),
+        comb_word(e.g.word.letters, e.g.word.strands),
         magnus_expand((1,), 1),
     ]
     # one value of each frozen dataclass the package exports
@@ -533,7 +533,7 @@ def test_operation_results_pass_public_constructors(
             positions = [
                 p
                 for p, letter in enumerate(f.leaves(), start=1)
-                if drs.rule_for(letter) is not None
+                if letter in drs.rule_map
             ]
             results.append(expand_at(f, rng.choice(positions)))
             results.append(act_bottom(a.g, _grow_forest(drs, a.g.bottom, 4, rng)))

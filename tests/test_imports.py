@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from types import ModuleType
+
+import braidfrac
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "braidfrac").glob("*.py"))
@@ -108,3 +111,13 @@ def test_no_dead_private_helpers():
     package = {str(path.relative_to(ROOT)) for path in PACKAGE}
     dead = _dead_helpers(sources, package)
     assert not dead, "private helpers that nothing reads: " + ", ".join(dead)
+
+
+def test_star_import_binds_only_the_api():
+    # the package's submodules are attributes of it, not names it exports
+    modules = [
+        name for name in braidfrac.__all__
+        if isinstance(getattr(braidfrac, name), ModuleType)
+    ]
+    assert modules == []
+    assert {"comb_word", "pure_word_sign"} <= set(braidfrac.__all__)

@@ -41,7 +41,7 @@ def test_validation():
 
 
 def test_identity_and_call():
-    f = PLMap.identity(2)
+    f = PLMap.from_points([(0, 0), (2, 2)])
     assert f(F(1, 3)) == F(1, 3)
     assert f.is_identity()
     g = PLMap.from_points([(F(0), F(0)), (F(1), F(2)), (F(2), F(3))])
