@@ -11,7 +11,10 @@ strand ending at a bottom position whose tree has k leaves is replaced by k
 parallel strands, each crossing becoming the block crossing of the two
 cables.  The cabling loop lives in `_cable`, which takes the widths at the
 top of the braid; `act_bottom` moves the forest to the top and calls it,
-and so does the product of fractions, without building the forests.
+and so does the product of fractions, without building the forests.  Its
+inverse, `delete_strand`, sits next to it: deleting w-1 strands of a
+w-strand cable gives back the braid before cabling.  `fraction.normalize`
+uses both, and the pure order deletes strands to reach each level.
 
 Two independent decision procedures for the braid word problem live here.
 The lamination action tracks integral (Dynnikov) coordinates of a curve
@@ -401,6 +404,31 @@ def _cable(letters: tuple[int, ...], widths: list[int]) -> tuple[int, ...]:
         width[k - 1], width[k] = v, u
         start[k] = offset + v
     return tuple(out)
+
+
+def delete_strand(
+    letters: tuple[int, ...], n: int, first: int, last: int
+) -> tuple[int, ...]:
+    """Remove the strands starting at top positions first..last, dropping
+    their crossings and reindexing the rest; freely reduced.  Deleting
+    strands i+2..i+w undoes the cabling of strand i+1 to width w."""
+    at = list(range(n + 1))  # at[p] = top position of the strand at position p
+    keep = [p < first or p > last for p in range(n + 1)]  # by top position
+    # kept strands at positions 1..p
+    rank = [min(p, first - 1) + max(p - last, 0) for p in range(n + 1)]
+    out: list[int] = []
+    for d in letters:
+        p = d if d > 0 else -d
+        a, b = at[p], at[p + 1]
+        at[p], at[p + 1] = b, a
+        if keep[a]:
+            if keep[b]:
+                out.append(rank[p] if d > 0 else -rank[p])
+            else:
+                rank[p] = rank[p - 1]
+        elif keep[b]:
+            rank[p] = rank[p - 1] + 1
+    return free_reduce(tuple(out))
 
 
 def act_bottom(

@@ -73,6 +73,7 @@ from .braids import (
     _braid_word,
     _cable,
     _digital_braid,
+    delete_strand,
     free_reduce,
     lamination_sign,
     lamination_trivial,
@@ -94,7 +95,7 @@ from .drs import (
     parse_steps,
     steps_of,
 )
-from .magnus import DEFAULT_DEGREE_CAP, delete_strand, pure_word_sign
+from .magnus import DEFAULT_DEGREE_CAP, pure_word_sign
 from .ordering import Comparison, Sign
 from .plmaps import _deviation_sign
 
@@ -132,6 +133,8 @@ class GroupContext:
     flavor: Flavor
 
     def __post_init__(self) -> None:
+        if not isinstance(self.flavor, Flavor):
+            raise FractionError(f"flavor must be a Flavor, got {self.flavor!r}")
         if not self.base:
             raise FractionError("base word must be nonempty")
         self.drs.check_word(self.base)

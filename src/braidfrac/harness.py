@@ -11,9 +11,8 @@ realization.
 
 Trials are deterministic: trial i of a run with seed s uses the derived seed
 s * 1_000_003 + i, so runs are reproducible and trials independent.
-A trial that had nothing to check (the realization suite finding no two
-forests with the same leaves, or only equal ones) counts as vacuous: it
-passes, and `Report.vacuous` counts it.
+A trial that had nothing to check (the realization suite drawing two equal
+forests) counts as vacuous: it passes, and `Report.vacuous` counts it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .drs import (
     ExpansionForest,
     _expandable,
     enumerate_expansions,
-    forest_from_steps,
     format_steps,
     graft,
     steps_of,
@@ -45,8 +43,9 @@ from .fraction import (
     Flavor,
     FractionElement,
     GroupContext,
-    _draw_steps,
+    _braid_piece,
     _grow_forest,
+    _plain_piece,
     _random_braid,
     format_element,
     random_element,
@@ -262,9 +261,7 @@ def _braids_equal(a: DigitalBraid, b: DigitalBraid) -> bool:
 
 
 def _random_digital_braid(context, rng, budget, letters):
-    leaves, _ = _draw_steps(context.drs, context.base, rng.randint(0, budget), rng)
-    pure = context.flavor is Flavor.PURE_BRAIDED
-    return _random_braid(leaves, letters, rng, pure)
+    return _braid_piece(context, rng.randint(0, budget), letters, rng).g
 
 
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
@@ -342,18 +339,9 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
             f"{f.leaves()} and {g.leaves()}"
         )
     # at least one step, budget permitting: at budget 0 both forests are
-    # the base word
-    least = min(1, budget)
-    drs, base = context.drs, context.base
-    top, t_steps = _draw_steps(drs, base, rng.randint(least, budget), rng)
-    for _ in range(32):
-        leaves, s_steps = _draw_steps(drs, base, rng.randint(least, budget), rng)
-        if leaves == top:
-            break
-    else:
-        return _VACUOUS  # no comparable pair found
-    t = forest_from_steps(drs, base, t_steps)
-    s = forest_from_steps(drs, base, s_steps)
+    # the base word; a failed search gives S = T, which compares nothing
+    pair = _plain_piece(context, rng.randint(min(1, budget), budget), rng)
+    t, s = pair.T, pair.S
     m = realize_pair(t, s)
     if m != pl_compose(realize_forest(t), realize_forest(s).inverse()):
         return (

@@ -78,15 +78,18 @@ lamination walks down from there to the lowest level whose strands do not
 form the trivial braid.  If that level has a nonzero linking number, its
 least linked strand gives the sign; otherwise that level alone is combed,
 and only there can the degree cap be reached.  `pure_word_sign` proves
-this.  `_comb_sign`, which combs every level from level 2 up, is the
-reference the tests and the `cone` suite check the order against.
+this.  `_comb_sign` signs the first nonempty component of `comb_word`'s
+combed form, from level 2 up; it is the reference the tests and the
+`cone` suite check the order against, and it reads exactly the combing
+that `recombine` checks.
 
 `pure_word_sign` takes the letters of a valid braid word (those of a
 `BraidWord`, as every caller passes) and does not validate them again.  It
 reads purity off the strand arrangement its linking-number pass ends with,
 so the order path neither validates the word again nor computes its
-permutation; `comb_word`, the one entry to combing, still checks its
-input.
+permutation; `comb_word`, the one entry to combing and the one loop over
+the levels, still checks its input.  Strands are deleted by
+`braids.delete_strand`, the inverse of cabling.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ from dataclasses import dataclass
 from .braids import (
     BraidWord,
     _braid_word,
+    delete_strand,
     free_reduce,
     lamination_trivial,
 )
@@ -228,30 +232,6 @@ def artin_image(braid_letters: tuple[int, ...], word: FreeWord) -> FreeWord:
     return w
 
 
-def delete_strand(
-    letters: tuple[int, ...], n: int, first: int, last: int
-) -> tuple[int, ...]:
-    """Remove the strands starting at top positions first..last, dropping
-    their crossings and reindexing the rest; freely reduced."""
-    at = list(range(n + 1))  # at[p] = top position of the strand at position p
-    keep = [p < first or p > last for p in range(n + 1)]  # by top position
-    # kept strands at positions 1..p
-    rank = [min(p, first - 1) + max(p - last, 0) for p in range(n + 1)]
-    out: list[int] = []
-    for d in letters:
-        p = d if d > 0 else -d
-        a, b = at[p], at[p + 1]
-        at[p], at[p + 1] = b, a
-        if keep[a]:
-            if keep[b]:
-                out.append(rank[p] if d > 0 else -rank[p])
-            else:
-                rank[p] = rank[p - 1]
-        elif keep[b]:
-            rank[p] = rank[p - 1] + 1
-    return free_reduce(tuple(out))
-
-
 def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
     """Braid word on k strands looping strand k once (positively) around
     strand j."""
@@ -289,22 +269,18 @@ class CombedForm:
     components: tuple[FreeWord, ...]  # level n first, down to level 2
 
 
-def _level_words(letters: tuple[int, ...], n: int):
-    """Yield (k, g_k) per level, level n first: g_k is the word left after
-    deleting strands k+1..n, whose level-k component is that of g."""
-    w = free_reduce(letters)
-    for k in range(n, 1, -1):
-        yield k, w
-        w = delete_strand(w, k, k, k)
-
-
 def comb_word(letters: tuple[int, ...], n: int) -> CombedForm:
+    """Combed form of a pure braid word on n strands: level by level from
+    n down, the level-k component of g_k, the word left after deleting
+    strands k+1..n.  The one loop over the levels."""
     if not BraidWord(n, letters).is_pure():
         raise MagnusError("braid is not pure")
-    components = tuple(
-        _level_component(c, k) for k, c in _level_words(letters, n)
-    )
-    return CombedForm(n, components)
+    w = free_reduce(letters)
+    components: list[FreeWord] = []
+    for k in range(n, 1, -1):
+        components.append(_level_component(w, k))
+        w = delete_strand(w, k, k, k)
+    return CombedForm(n, tuple(components))
 
 
 def recombine(form: CombedForm) -> BraidWord:
@@ -324,14 +300,12 @@ def recombine(form: CombedForm) -> BraidWord:
 
 
 def _comb_sign(letters: tuple[int, ...], n: int, degree_cap: int) -> Sign:
-    """Sign of a pure braid word by combing every level: the first
-    nontrivial component, from level 2 up, decides by its Magnus sign."""
-    levels = list(_level_words(letters, n))
-    for k, c in reversed(levels):
-        component = _level_component(c, k)
-        if component:
-            return free_word_sign(component, degree_cap)
-    return Sign.ZERO
+    """Sign of a pure braid word by combing every level with `comb_word`,
+    the combing `recombine` checks: the first nonempty component, from
+    level 2 up, decides by its Magnus sign."""
+    components = comb_word(letters, n).components
+    first = next((c for c in reversed(components) if c), ())
+    return free_word_sign(first, degree_cap)
 
 
 def pure_word_sign(

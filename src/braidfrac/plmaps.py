@@ -37,7 +37,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .drs import ExpansionForest, ExpansionTree, SourceMismatchError
+from .drs import (
+    ExpansionForest,
+    ExpansionTree,
+    SourceMismatchError,
+    _check_roots,
+)
 from .ordering import Sign
 
 Point = tuple[Fraction, Fraction]
@@ -161,8 +166,10 @@ def realize_forest(forest: ExpansionForest) -> PLMap:
 
 
 def _check_pair(t: ExpansionForest, s: ExpansionForest) -> None:
-    if t.source != s.source:
-        raise SourceMismatchError(f"sources differ: {t.source} vs {s.source}")
+    """Refuse a pair that realizes no self-map: forests of two rewriting
+    systems or with different roots (the shared root check,
+    `drs._check_roots`), then different leaf words."""
+    _check_roots(t, s)
     if t.leaves() != s.leaves():
         raise SourceMismatchError(
             f"leaf words differ: {t.leaves()} vs {s.leaves()}"

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from braidfrac.braids import (
+    BraidError,
     BraidWord,
     DigitalBraid,
     LabelMismatchError,
@@ -45,6 +46,23 @@ def test_braid_word_validation():
         BraidWord(2, (0,))
     with pytest.raises(ValueError):
         BraidWord(0, ())
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: BraidWord(2, (1,)) * BraidWord(3, (1,)), BraidError, "strand count"),
+        (lambda: BraidWord.parse(3, "1 x"), BraidError, "bad braid word"),
+        (
+            lambda: DigitalBraid(("x", "x"), ("x", "x"), BraidWord(3)),
+            BraidError,
+            "braid has 3 strands, expected 2",
+        ),
+    ],
+)
+def test_trust_boundary_errors(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 def test_mul_free_reduces():

@@ -7,6 +7,7 @@ import gc
 import pickle
 import random
 from collections import deque
+from dataclasses import dataclass
 from itertools import product
 from weakref import KeyedRef
 
@@ -22,6 +23,7 @@ from braidfrac.drs import (
     RewriteRule,
     SourceMismatchError,
     SystemMismatchError,
+    _constructor,
     _drop_tree_ref,
     _nodes,
     _pruned,
@@ -89,6 +91,69 @@ def test_parse_drs_round_trip():
 def test_parse_drs_rejects(text):
     with pytest.raises(DrsParseError):
         parse_drs(text)
+
+
+@dataclass(frozen=True, slots=True)
+class _OneField:
+    a: int
+
+
+@dataclass(frozen=True, slots=True)
+class _FiveFields:
+    a: int
+    b: int
+    c: int
+    d: int
+    e: int
+
+
+_X2 = RewriteRule("x", ("x", "x"))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: _constructor(_OneField), TypeError, "has 1 fields, not 2 to 4"),
+        (lambda: _constructor(_FiveFields), TypeError, "has 5 fields, not 2 to 4"),
+        (lambda: DigitRewritingSystem(("1x",), ()), DrsError, "invalid letter name"),
+        (lambda: DigitRewritingSystem(("x", "x"), ()), DrsError, "duplicate letter"),
+        (
+            lambda: DigitRewritingSystem(("y",), (_X2,)),
+            DrsError,
+            "rule for unknown letter 'x'",
+        ),
+        (
+            lambda: DigitRewritingSystem(("x",), (_X2,), ("y",)),
+            DrsError,
+            "unknown letter 'y' in base word",
+        ),
+        (lambda: thompson_drs(2).check_word(("y",)), DrsError, "unknown letter 'y'"),
+        (
+            lambda: enumerate_expansions(thompson_drs(2), ("x",), -1),
+            DrsError,
+            "depth must be >= 0",
+        ),
+        (lambda: parse_drs("alphabet:"), DrsParseError, "line 1: empty alphabet"),
+        (
+            lambda: parse_drs("alphabet: x\nrule: x x -> x x"),
+            DrsParseError,
+            "line 2: rule left side must be a single letter",
+        ),
+        (
+            lambda: parse_drs("alphabet: x\nbase: x\nbase: x"),
+            DrsParseError,
+            "line 3: duplicate base line",
+        ),
+        (
+            lambda: parse_drs("alphabet: x\nrule: x -> x x\nbase: y"),
+            DrsParseError,
+            "unknown letter 'y' in base word",
+        ),
+    ],
+)
+def test_trust_boundary_errors(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 def test_expand_at_and_leaves(thompson2):

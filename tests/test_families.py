@@ -75,6 +75,8 @@ def test_parse_edge_shift():
         parse_edge_shift("a: a b\na: b a\nb: a b")  # duplicate vertex
     with pytest.raises(DrsParseError):
         parse_edge_shift("just words")
+    with pytest.raises(DrsParseError, match="out-degree 1"):
+        parse_edge_shift("a: a\nb: a b")  # the system refuses it
     # refused as `parse_drs` refuses it, not resolved to the last line
     with pytest.raises(DrsParseError, match=r"^line 4: duplicate base line$"):
         parse_edge_shift("a: a b\nb: a b\nbase: a\nbase: b")

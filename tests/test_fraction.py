@@ -40,6 +40,7 @@ from braidfrac.fraction import (
     Flavor,
     FractionElement,
     FractionError,
+    GroupContext,
     TorsionOrderError,
     _element,
     _grow_forest,
@@ -170,6 +171,49 @@ def test_semidirect_pieces(t2_pure):
     p = e.psi_project()
     assert p.context.flavor is Flavor.PLAIN
     assert p.T == e.T and p.S == e.S
+
+
+@pytest.mark.parametrize("flavor", ["pure", "braided"])
+def test_context_refuses_a_flavor_name(thompson2, flavor):
+    # a name in place of the member would skip the pure flavor's braid check
+    # and misreport the braided flavor as the permutation flavor
+    with pytest.raises(FractionError, match=f"must be a Flavor, got '{flavor}'"):
+        GroupContext(thompson2, ("x",), flavor)
+    assert str(Flavor(flavor)) == flavor
+
+
+_T2 = GroupContext(thompson_drs(2), ("x",), Flavor.BRAIDED)
+_X = ExpansionForest.identity(_T2.drs, ("x",))
+_XX = forest_from_steps(_T2.drs, ("x",), [1])
+_X3 = ExpansionForest.identity(thompson_drs(3), ("x",))
+_NO_BRAID = DigitalBraid.identity(("x",))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: GroupContext(_T2.drs, (), Flavor.PLAIN), "base word must be nonempty"),
+        (
+            lambda: FractionElement(_T2, _X3, _NO_BRAID, _X3),
+            "forests must belong to the context's rewriting system",
+        ),
+        (
+            lambda: FractionElement(_T2, _X, _NO_BRAID, _XX),
+            "braid bottom must equal the leaves of S",
+        ),
+        (
+            lambda: elem(_T2, [], (), []).psi_section(),
+            "section is defined on the pure flavor",
+        ),
+        (
+            lambda: elem(_T2, [], (), []).in_kernel_K(),
+            "projection is defined on the pure flavor",
+        ),
+    ],
+)
+def test_trust_boundary_errors(call, fragment):
+    with pytest.raises(FractionError, match=fragment):
+        call()
 
 
 def test_psi_requires_pure(t2_braided):

@@ -6,6 +6,7 @@ import pytest
 
 from braidfrac import harness
 from braidfrac.cli import main
+from braidfrac.families import edge_shift_drs
 from braidfrac.harness import (
     SUITE_NAMES,
     HarnessError,
@@ -13,6 +14,7 @@ from braidfrac.harness import (
     report_format,
     run_suite,
 )
+from conftest import make_context
 
 
 def test_report_format_line():
@@ -30,14 +32,32 @@ def test_report_format_counterexample():
 
 
 def test_vacuous_realization_trials_are_counted(capsys):
-    # equal Houghton leaf words force equal forests: of these 30 trials, 12
-    # play s == t and 18 find no pair, so none compares two forests
+    # equal Houghton leaf words force equal forests, so each of these 30
+    # trials draws s == t, or finds no pair and falls back to s = t: none
+    # compares two forests
     argv = ["axioms", "--drs", "houghton:3", "--flavor", "plain"]
     argv += ["--suite", "realization", "--trials", "30", "--seed", "0"]
     assert main(argv) == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("suite=realization trials=30 failures=0 seed=0 time_ms=")
     assert line.endswith(" vacuous=30")
+
+
+@pytest.mark.parametrize(
+    "system, least, most",
+    # on Houghton systems equal leaf words force equal forests
+    [("edge", 40, 200), ("thompson2", 120, 200), ("houghton3", 0, 0)],
+)
+def test_realization_suite_compares_distinct_pairs(request, system, least, most):
+    # the suite draws its pair as the plain flavor's random elements do
+    # (`fraction._plain_piece`): at seed 0 it compares 49, 145 and 0 pairs
+    if system == "edge":
+        drs = edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",))
+    else:
+        drs = request.getfixturevalue(system)
+    report = run_suite("realization", make_context(drs, "plain"), 200, 0)
+    assert report.failures == 0, report_format(report)
+    assert least <= report.trials - report.vacuous <= most
 
 
 def test_unknown_suite(t2_braided):

@@ -19,7 +19,9 @@ from braidfrac import magnus
 from braidfrac.braids import (
     BraidWord,
     DigitalBraid,
+    _cable,
     act_bottom,
+    delete_strand,
     free_reduce,
     handle_reduce,
     lamination_trivial,
@@ -35,7 +37,6 @@ from braidfrac.magnus import (
     _level_component,
     artin_image,
     comb_word,
-    delete_strand,
     free_word_sign,
     invert_free,
     magnus_expand,
@@ -203,6 +204,18 @@ def test_pure_sign_rejects_non_pure_with_linking():
         pure_word_sign((2, -1, 2), 3)
 
 
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: NcPolynomial(-1), "degree must be >= 0"),
+        (lambda: magnus_expand((1,), 0), "degree must be >= 1"),
+    ],
+)
+def test_trust_boundary_errors(call, fragment):
+    with pytest.raises(MagnusError, match=fragment):
+        call()
+
+
 def test_delete_strand():
     # removing the strand a generator wraps around kills it
     assert delete_strand(a_jk(1, 3), 3, 3, 3) == ()
@@ -232,6 +245,11 @@ def test_delete_strand():
         for k in range(last, first - 1, -1):
             one_by_one = delete_strand(one_by_one, n - (last - k), k, k)
         assert delete_strand(letters, n, first, last) == one_by_one
+        # deleting the inner strands of a w-cable undoes the cabling
+        i, w = rng.randint(0, n - 1), rng.randint(2, 4)
+        widths = [1] * i + [w] + [1] * (n - 1 - i)
+        cabled = _cable(letters, widths)
+        assert delete_strand(cabled, n + w - 1, i + 2, i + w) == free_reduce(letters)
 
 
 def test_recombine_inverts_comb():

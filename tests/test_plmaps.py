@@ -10,6 +10,7 @@ import pytest
 from braidfrac.drs import (
     ExpansionForest,
     SourceMismatchError,
+    SystemMismatchError,
     enumerate_expansions,
     forest_from_steps,
     graft,
@@ -187,3 +188,40 @@ def test_realization_sign_source_mismatch(thompson2, edge2):
             realization_sign(f, g)
         with pytest.raises(SourceMismatchError):
             realize_pair(f, g)
+
+
+def test_realization_refuses_forests_of_two_systems():
+    # both leaf words are x x x, but the forests split their interval in
+    # different ways: their pair realizes no element of either group
+    t = forest_from_steps(thompson_drs(2), ("x",), [1, 1])
+    s = forest_from_steps(thompson_drs(3), ("x",), [1])
+    assert t.leaves() == s.leaves() == ("x",) * 3
+    for f, g in ((t, s), (s, t)):
+        with pytest.raises(SystemMismatchError):
+            realize_pair(f, g)
+        with pytest.raises(SystemMismatchError):
+            realization_sign(f, g)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: PLMap(((F(0), F(0)), (F(1, 2), F(1)))), PLMapError, "integers"),
+        (
+            lambda: pl_compose(
+                PLMap.from_points([(0, 0), (1, 1)]),
+                PLMap.from_points([(0, 0), (2, 2)]),
+            ),
+            PLMapError,
+            "does not match domain",
+        ),
+        (
+            lambda: pl_sign(PLMap.from_points([(0, 0), (1, 2)])),
+            PLMapError,
+            "self-maps only",
+        ),
+    ],
+)
+def test_trust_boundary_errors(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
