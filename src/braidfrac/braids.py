@@ -9,12 +9,14 @@ rewriting system; strands must join equal letters.  Digital braids form a
 groupoid under stacking, and expansion forests act on them by cabling: a
 strand ending at a bottom position whose tree has k leaves is replaced by k
 parallel strands, each crossing becoming the block crossing of the two
-cables.  The cabling loop lives in `_cable`, which takes the widths at the
-top of the braid; `act_bottom` moves the forest to the top and calls it,
-and so does the product of fractions, without building the forests.  Its
-inverse, `delete_strand`, sits next to it: deleting w-1 strands of a
-w-strand cable gives back the braid before cabling.  `fraction.normalize`
-uses both, and the pure order deletes strands to reach each level.
+cables.  The cabling loop lives in `_cable`, which takes the trees at one
+end of the braid, reads the cable widths off their `leaf_count` and
+carries the trees along the strands to the other end in the same walk;
+`act_bottom` and the product of fractions walk up from the bottom, and
+neither computes the strand permutation.  Its inverse, `delete_strand`,
+sits next to it: deleting w-1 strands of a w-strand cable gives back the
+braid before cabling.  `fraction.normalize` uses both, and the pure order
+deletes strands to reach each level.
 
 Two independent decision procedures for the braid word problem live here.
 The lamination action tracks integral (Dynnikov) coordinates of a curve
@@ -47,9 +49,12 @@ the positional constructors that `drs._constructor` makes for each class.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .drs import ExpansionForest, SourceMismatchError, Word, _constructor, _forest
+from .drs import ExpansionForest, ExpansionTree, SourceMismatchError, Word
+from .drs import _constructor, _forest
 from .ordering import Sign
 
 DEFAULT_STEP_BUDGET = 10**6
@@ -375,35 +380,49 @@ def _block_letters(offset: int, p: int, q: int, sign: int) -> list[int]:
     return [-x for x in reversed(positive)]
 
 
-def _cable(letters: tuple[int, ...], widths: list[int]) -> tuple[int, ...]:
-    """The word `letters` with the strand at top position i replaced by
-    widths[i-1] parallel strands, each crossing becoming the block crossing
-    of two cables; not freely reduced, and `letters` itself when every
-    width is 1.
+def _cable(
+    letters: tuple[int, ...], trees: Sequence[ExpansionTree], up: bool = False
+) -> tuple[tuple[int, ...], list[ExpansionTree]]:
+    """Cable the word `letters` along `trees`, carrying them through it.
+
+    `trees` sit at the top of the word, or at its bottom with `up`; the
+    strand at position i becomes trees[i-1].leaf_count parallel strands,
+    and each crossing the block crossing of its two cables.  Returns the
+    cabled word, not freely reduced and `letters` itself when every tree
+    is a leaf, and the trees at the other end of the word: the tree over
+    top position i is the one under the bottom position its strand
+    reaches.
 
     width[p] is the width of the cable now at position p+1 and start[p] the
     number of strands left of it; swapping positions k, k+1 moves only
-    start[k].  Cabling commutes with inversion: the cable of the inverse
-    word, with the widths at its own top, is the inverse of the cable."""
-    n = len(widths)
-    if sum(widths) == n:
-        return letters
-    width = list(widths)
-    start = [0] * n
-    for p in range(1, n):
-        start[p] = start[p - 1] + width[p - 1]
+    start[k].  Cabling commutes with inversion, so the walk up reads the
+    word right to left, emits each block for the letter as written with
+    the widths above it, reversed, and reverses the output once."""
+    trees = list(trees)
+    if not letters:
+        return letters, trees
+    width = [t.leaf_count for t in trees]
+    if sum(width) == len(width):
+        for d in reversed(letters) if up else letters:
+            k = d if d > 0 else -d
+            trees[k - 1], trees[k] = trees[k], trees[k - 1]
+        return letters, trees
+    start = [0, *accumulate(width[:-1])]
     out: list[int] = []
-    for d in letters:
+    for d in reversed(letters) if up else letters:
         k = d if d > 0 else -d
         u, v = width[k - 1], width[k]
+        width[k - 1], width[k] = v, u
+        trees[k - 1], trees[k] = trees[k], trees[k - 1]
         offset = start[k - 1]
+        start[k] = offset + v
         if u == 1 and v == 1:
             out.append(offset + 1 if d > 0 else -offset - 1)
+        elif up:
+            out.extend(reversed(_block_letters(offset, v, u, d)))
         else:
             out.extend(_block_letters(offset, u, v, d))
-        width[k - 1], width[k] = v, u
-        start[k] = offset + v
-    return tuple(out)
+    return tuple(reversed(out) if up else out), trees
 
 
 def delete_strand(
@@ -438,7 +457,9 @@ def act_bottom(
 
     Returns (bup, gb) where bup is b transported to the top of g (the tree
     over top position i is the tree under the bottom position its strand
-    reaches) and gb is the cabled braid from leaves(bup) to leaves(b).
+    reaches) and gb is the cabled braid from leaves(bup) to leaves(b); one
+    upward walk of `_cable` gives both the trees of bup and the letters of
+    gb.
     """
     if b.source != g.bottom:
         raise SourceMismatchError(
@@ -446,8 +467,8 @@ def act_bottom(
         )
     if not g.top:
         return b, g
-    bup = _forest(b.drs, tuple(b.trees[p - 1] for p in g.word.permutation()))
-    letters = _cable(g.word.letters, [t.leaf_count for t in bup.trees])
+    letters, trees = _cable(g.word.letters, b.trees, True)
+    bup = _forest(b.drs, tuple(trees))
     leaves = bup.leaves()
     gb = _digital_braid(
         leaves, b.leaves(), _braid_word(max(len(leaves), 1), free_reduce(letters))

@@ -308,7 +308,7 @@ class ExpansionForest:
         return tuple(t.label for t in self.trees)
 
     def leaves(self) -> Word:
-        return tuple([t.label for t in _leaf_nodes(self.trees)])
+        return _leaf_labels(self.trees)
 
     def leaf_count(self) -> int:
         return sum(t.leaf_count for t in self.trees)
@@ -332,6 +332,11 @@ def _leaf_nodes(trees: Sequence[ExpansionTree]) -> list[ExpansionTree]:
         else:
             out.append(t)
     return out
+
+
+def _leaf_labels(trees: Sequence[ExpansionTree]) -> Word:
+    """The labels of the leaves of the trees `trees`, left to right."""
+    return tuple([t.label for t in _leaf_nodes(trees)])
 
 
 def _check_same_system(a: ExpansionForest, b: ExpansionForest) -> None:

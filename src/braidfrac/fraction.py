@@ -5,16 +5,17 @@ word and a digital braid from the leaves of T to the leaves of S, read as
 the fraction T g S^{-1}.  Multiplication pushes the middle factors through a
 common refinement.  One walk of the denominator S of the left factor and
 the numerator T' of the right factor (`drs._complements`) gives the
-trees of the complements B and A that complete them to their join.  B
-moves along the strands of g to its top and A along those of g' to its
-bottom; each braid is cabled at its top by the leaf counts of the trees
-there (`braids._cable`, widths read off each tree's `leaf_count`), and the
-moved complements are grafted onto T and S'.  Cabling commutes with
-inversion, so g' is cabled as it stands rather than inverted, cabled and
-inverted back, and the product equals, letter for letter after free
-reduction, the composition of `forest_join`, `act_bottom`, `graft` and
-`compose`.  Its top and bottom are the leaves of the moved complement
-trees (`drs._leaf_nodes`); neither grafted forest is walked again.
+trees of the complements B and A that complete them to their join.  One
+walk of each braid (`braids._cable`) cables it along its complement, with
+the widths read off each tree's `leaf_count`, and carries the trees along
+its strands: g upward from B at its bottom, g' downward from A at its
+top, so no strand permutation is computed and g' is not inverted.  The
+moved complements are grafted onto T and S', and the product equals,
+letter for letter after free reduction, the composition of
+`forest_join`, `act_bottom`, `graft` and `compose`.  Its top and bottom
+are the leaves of the moved complement trees (`drs._leaf_labels`), or the
+braids' own ends when every moved tree is a leaf; neither grafted forest
+is walked again.
 Inversion swaps the forests and inverts the braid.  `normalize` runs the
 same relation backwards in one outermost-first walk of the nodes of T: it
 cuts each node, with its whole subtree, that S holds as an equal subtree
@@ -87,6 +88,7 @@ from .drs import (
     _constructor,
     _expandable,
     _graft,
+    _leaf_labels,
     _leaf_nodes,
     _nodes,
     _pruned,
@@ -171,24 +173,19 @@ class FractionElement:
     def __mul__(self, other: "FractionElement") -> "FractionElement":
         if self.context is not other.context and self.context != other.context:
             raise ContextMismatchError("elements live in different contexts")
-        # B, A complete self.S and other.T to their join; B moves to the top
-        # of self.g and A to the bottom of other.g along the strands, each
-        # braid is cabled by the leaf counts of the trees at its top, and
-        # its ends are the leaves of the moved trees
+        # B, A complete self.S and other.T to their join; cabling self.g
+        # upward from B and other.g downward from A carries them to the
+        # ends of the product's braid, labelled by their leaves, or by the
+        # braids' own ends when every tree is a leaf, which `_cable` shows
+        # by returning a nonempty word as it is
         b, a = _complements(self.S.trees, other.T.trees)
-        bup = [b[p - 1] for p in self.g.word.permutation()]
-        adown = a[:]
-        for i, p in enumerate(other.g.word.permutation()):
-            adown[p - 1] = a[i]
-        letters = free_reduce(
-            _cable(self.g.word.letters, [t.leaf_count for t in bup])
-            + _cable(other.g.word.letters, [t.leaf_count for t in a])
-        )
-        top = tuple([t.label for t in _leaf_nodes(bup)])
+        g, h = self.g.word.letters, other.g.word.letters
+        left, bup = _cable(g, b, True)
+        right, adown = _cable(h, a)
+        top = self.g.top if left is g and g else _leaf_labels(bup)
+        bottom = other.g.bottom if right is h and h else _leaf_labels(adown)
         braid = _digital_braid(
-            top,
-            tuple([t.label for t in _leaf_nodes(adown)]),
-            _braid_word(max(len(top), 1), letters),
+            top, bottom, _braid_word(max(len(top), 1), free_reduce(left + right))
         )
         return _element(
             self.context, _graft(self.T, bup), braid, _graft(other.S, adown)
@@ -310,7 +307,8 @@ class FractionElement:
           i+1 of g ends at bottom position j+1 (equal trees are one object,
           so S's nodes are looked up by position and identity);
         - g is the cable of g', the braid g with strands i+2..i+w deleted,
-          with widths 1 except w at position i+1; the lamination action
+          along the leaves of T with x in place of the leaves under it,
+          so with widths 1 except w at position i+1; the lamination action
           decides this exactly on g times the inverse of the cable; the
           permutation flavor keeps only the strand permutation, so there
           it suffices that this product permutes no strand.
@@ -348,6 +346,7 @@ class FractionElement:
         ends = g.word.permutation()
         permutation = self.context.flavor is Flavor.PERMUTATION
         s_nodes = set(_nodes(self.S.trees))
+        t_leaves = _leaf_nodes(self.T.trees)
         t_cuts: list[tuple[int, int]] = []
         s_cuts: set[tuple[int, int]] = set()
         end = 0
@@ -358,8 +357,8 @@ class FractionElement:
             j = ends[i] - 1  # leaves of S left of where strand i+1 ends
             if (j, x) not in s_nodes:
                 continue  # no node of S equal to x there
-            widths = [1] * i + [w] + [1] * (n - w - i)
-            cable = _cable(delete_strand(g.word.letters, n, i + 2, i + w), widths)
+            trees = t_leaves[:i] + [x] + t_leaves[i + w :]
+            cable = _cable(delete_strand(g.word.letters, n, i + 2, i + w), trees)[0]
             rest = g.word * _braid_word(n, cable).inverse()
             if rest.is_pure() if permutation else lamination_trivial(rest):
                 t_cuts.append((i, w))

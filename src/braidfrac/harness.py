@@ -43,7 +43,7 @@ from .fraction import (
     Flavor,
     FractionElement,
     GroupContext,
-    _braid_piece,
+    _draw_steps,
     _grow_forest,
     _plain_piece,
     _random_braid,
@@ -261,7 +261,10 @@ def _braids_equal(a: DigitalBraid, b: DigitalBraid) -> bool:
 
 
 def _random_digital_braid(context, rng, budget, letters):
-    return _braid_piece(context, rng.randint(0, budget), letters, rng).g
+    """The braid of `fraction._braid_piece`, drawn from the same generator
+    calls without building its forest or element."""
+    leaves = _draw_steps(context.drs, context.base, rng.randint(0, budget), rng)[0]
+    return _random_braid(leaves, letters, rng, context.flavor is Flavor.PURE_BRAIDED)
 
 
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):

@@ -18,6 +18,7 @@ from braidfrac.braids import (
     LabelMismatchError,
     StepBudgetExceeded,
     _block_letters,
+    _cable,
     act_bottom,
     dehornoy_sign,
     free_reduce,
@@ -27,7 +28,12 @@ from braidfrac.braids import (
     lamination_sign,
     lamination_trivial,
 )
-from braidfrac.drs import ExpansionForest, SourceMismatchError, expand_at
+from braidfrac.drs import (
+    ExpansionForest,
+    ExpansionTree,
+    SourceMismatchError,
+    expand_at,
+)
 from braidfrac.families import edge_shift_drs, houghton_drs, thompson_drs
 from braidfrac.fraction import Flavor, GroupContext, random_element
 from braidfrac.ordering import Sign
@@ -486,3 +492,42 @@ def test_act_bottom_matches_reference():
                     checked += 1
                     empty += not h.word.letters
     assert checked >= 1000 and empty >= 540
+
+
+def test_cable_carries_trees_along_strands():
+    # trees carried down land where the strands end and trees carried up
+    # where they start; the walk up is the inverse of the walk down the
+    # inverse word
+    rng = random.Random(29)
+    empty = leaves_only = mixed = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        length = 0 if n == 1 or rng.random() < 0.1 else rng.randint(1, 12)
+        letters = tuple(
+            rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(length)
+        )
+        word = BraidWord(n, letters)
+        perm = word.permutation()
+        for widths in ([1] * n, [rng.choice((1, 1, 2, 3)) for _ in range(n)]):
+            # distinct labels, so equal trees are the same tree
+            trees = [
+                ExpansionTree(f"x{i}", tuple(ExpansionTree("y") for _ in range(w)))
+                if w > 1 else ExpansionTree(f"x{i}")
+                for i, w in enumerate(widths)
+            ]
+            down_letters, down = _cable(letters, trees)
+            up_letters, up = _cable(letters, trees, True)
+            placed = [None] * n
+            for i, p in enumerate(perm):
+                placed[p - 1] = trees[i]
+            assert down == placed
+            assert up == [trees[p - 1] for p in perm]
+            inverse = word.inverse().letters
+            back, _ = _cable(inverse, trees)
+            assert up_letters == tuple(-d for d in reversed(back))
+            if sum(widths) == n:
+                assert down_letters == up_letters == letters
+            empty += not letters
+            leaves_only += sum(widths) == n
+            mixed += sum(widths) > n
+    assert empty >= 60 and leaves_only >= 600 and mixed >= 400

@@ -26,7 +26,7 @@ from braidfrac.braids import (
     handle_reduce,
     lamination_trivial,
 )
-from braidfrac.drs import ExpansionForest, expand_at
+from braidfrac.drs import ExpansionForest, ExpansionTree, expand_at
 from braidfrac.families import houghton_drs, thompson_drs
 from braidfrac.fraction import Flavor, GroupContext, random_element
 from braidfrac.magnus import (
@@ -247,8 +247,9 @@ def test_delete_strand():
         assert delete_strand(letters, n, first, last) == one_by_one
         # deleting the inner strands of a w-cable undoes the cabling
         i, w = rng.randint(0, n - 1), rng.randint(2, 4)
-        widths = [1] * i + [w] + [1] * (n - 1 - i)
-        cabled = _cable(letters, widths)
+        leaf = ExpansionTree("a")
+        trees = [leaf] * i + [ExpansionTree("a", (leaf,) * w)] + [leaf] * (n - 1 - i)
+        cabled = _cable(letters, trees)[0]
         assert delete_strand(cabled, n + w - 1, i + 2, i + w) == free_reduce(letters)
 
 
