@@ -13,7 +13,10 @@ cables.  The cabling loop lives in `_cable`, which takes the trees at one
 end of the braid, reads the cable widths off their `leaf_count` and
 carries the trees along the strands to the other end in the same walk;
 `act_bottom` and the product of fractions walk up from the bottom, and
-neither computes the strand permutation.  Its inverse, `delete_strand`,
+neither computes the strand permutation.  An empty word comes back at
+once with the trees it was given, so the braid on the empty word (one
+strand, no letters; only `DigitalBraid` and `act_bottom` know its strand
+count) needs no special case.  Its inverse, `delete_strand`,
 sits next to it: deleting w-1 strands of a w-strand cable gives back the
 braid before cabling.  `fraction.normalize` uses both, and the pure order
 deletes strands to reach each level.
@@ -340,8 +343,6 @@ class DigitalBraid:
             raise BraidError(
                 f"braid has {self.word.strands} strands, expected {max(n, 1)}"
             )
-        if n == 0:
-            return
         perm = self.word.permutation()
         for i in range(n):
             if self.top[i] != self.bottom[perm[i] - 1]:
@@ -459,14 +460,13 @@ def act_bottom(
     over top position i is the tree under the bottom position its strand
     reaches) and gb is the cabled braid from leaves(bup) to leaves(b); one
     upward walk of `_cable` gives both the trees of bup and the letters of
-    gb.
+    gb.  The braid on the empty word needs no special case: its empty word
+    and empty forest come back equal to g and b.
     """
     if b.source != g.bottom:
         raise SourceMismatchError(
             f"forest source {b.source} does not match braid bottom {g.bottom}"
         )
-    if not g.top:
-        return b, g
     letters, trees = _cable(g.word.letters, b.trees, True)
     bup = _forest(b.drs, tuple(trees))
     leaves = bup.leaves()

@@ -185,7 +185,7 @@ class FractionElement:
         top = self.g.top if left is g and g else _leaf_labels(bup)
         bottom = other.g.bottom if right is h and h else _leaf_labels(adown)
         braid = _digital_braid(
-            top, bottom, _braid_word(max(len(top), 1), free_reduce(left + right))
+            top, bottom, _braid_word(len(top), free_reduce(left + right))
         )
         return _element(
             self.context, _graft(self.T, bup), braid, _graft(other.S, adown)
@@ -463,9 +463,7 @@ def _random_braid(
         arr[k - 1], arr[k] = arr[k], arr[k - 1]
     target = _label_preserving_target(word, rng, pure)
     letters.extend(_steer_to_target(arr, target, rng))
-    return DigitalBraid(
-        word, word, BraidWord(max(n, 1), free_reduce(tuple(letters)))
-    )
+    return DigitalBraid(word, word, BraidWord(n, free_reduce(tuple(letters))))
 
 
 def _braid_piece(
@@ -542,7 +540,7 @@ def parse_element(context: GroupContext, text: str) -> FractionElement:
     except DrsError as exc:
         raise FractionError(str(exc)) from exc
     top = t.leaves()
-    word = BraidWord.parse(max(len(top), 1), m.group(2))
+    word = BraidWord.parse(len(top), m.group(2))
     braid = DigitalBraid(top, s.leaves(), word)
     return FractionElement(context, t, braid, s)
 

@@ -13,6 +13,13 @@ Trials are deterministic: trial i of a run with seed s uses the derived seed
 s * 1_000_003 + i, so runs are reproducible and trials independent.
 A trial that had nothing to check (the realization suite drawing two equal
 forests) counts as vacuous: it passes, and `Report.vacuous` counts it.
+
+Positive elements and positive braids come from one draw-until-signed loop
+(`_first_positive`): the first draw with a nonzero sign, inverted if
+negative, or a canonical positive element when every draw signs zero.
+The suites reach handle reduction through `dehornoy_sign` only: it answers
+ZERO exactly when full reduction empties the word, so it also decides
+braid equality, next to the lamination.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .braids import (
     DigitalBraid,
     act_bottom,
     dehornoy_sign,
-    handle_reduce,
     lamination_sign,
     lamination_trivial,
 )
@@ -127,6 +133,16 @@ def _canonical_positive(context: GroupContext) -> FractionElement:
     raise HarnessError("no canonical positive element found for this context")
 
 
+def _first_positive(draws, sign):
+    """The first of `draws` whose sign is nonzero, inverted if negative;
+    None if every draw signs zero."""
+    for x in draws:
+        s = sign(x)
+        if s is not Sign.ZERO:
+            return x if s is Sign.POSITIVE else x.invert()
+    return None
+
+
 def _positive_element(
     context: GroupContext,
     rng: random.Random,
@@ -134,14 +150,9 @@ def _positive_element(
     letters: int,
     degree_cap: int,
 ) -> FractionElement:
-    for _ in range(20):
-        e = _sample(context, rng, budget, letters)
-        s = e.sign(degree_cap=degree_cap)
-        if s is Sign.POSITIVE:
-            return e
-        if s is Sign.NEGATIVE:
-            return e.invert()
-    return _canonical_positive(context)
+    draws = (_sample(context, rng, budget, letters) for _ in range(20))
+    e = _first_positive(draws, lambda x: x.sign(degree_cap=degree_cap))
+    return e if e is not None else _canonical_positive(context)
 
 
 def _describe(*elements: FractionElement) -> str:
@@ -228,17 +239,12 @@ def _braid_sign(context: GroupContext, g: DigitalBraid, degree_cap: int) -> Sign
 def _random_positive_braid(context, rng, budget, letters, degree_cap):
     """Digital braid with positive sign (Dehornoy or Magnus per flavor)
     whose bottom word admits an expansion."""
-    for _ in range(40):
-        g = _random_digital_braid(context, rng, budget, letters)
-        if not _expandable(context.drs, g.bottom):
-            continue
-        s = _braid_sign(context, g, degree_cap)
-        if s is Sign.POSITIVE:
-            return g
-        if s is Sign.NEGATIVE:
-            return g.invert()
-    e = _canonical_positive(context)
-    return e.g
+    draws = (_random_digital_braid(context, rng, budget, letters) for _ in range(40))
+    g = _first_positive(
+        (x for x in draws if _expandable(context.drs, x.bottom)),
+        lambda x: _braid_sign(context, x, degree_cap),
+    )
+    return g if g is not None else _canonical_positive(context).g
 
 
 def _suite_compatibility(context, rng, budget, letters, degree_cap):
@@ -257,7 +263,7 @@ def _braids_equal(a: DigitalBraid, b: DigitalBraid) -> bool:
     if a.top != b.top or a.bottom != b.bottom:
         return False
     diff = a.word * b.word.inverse()
-    return not handle_reduce(diff).letters and lamination_trivial(diff)
+    return dehornoy_sign(diff) is Sign.ZERO and lamination_trivial(diff)
 
 
 def _random_digital_braid(context, rng, budget, letters):
@@ -397,6 +403,8 @@ def run_suite(
         raise HarnessError(f"suite {name}: runs on the {listed} only")
     if budget < 0:
         raise HarnessError(f"budget must be >= 0, got {budget}")
+    if trials < 1:
+        raise HarnessError(f"trials must be >= 1, got {trials}")
     failures = vacuous = 0
     counterexamples: list[str] = []
     start = time.monotonic()

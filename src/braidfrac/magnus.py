@@ -90,6 +90,10 @@ so the order path neither validates the word again nor computes its
 permutation; `comb_word`, the one entry to combing and the one loop over
 the levels, still checks its input.  Strands are deleted by
 `braids.delete_strand`, the inverse of cabling.
+
+A free word spells x_j as the letter j and x_j^{-1} as -j, for j >= 1.
+`magnus_expand` and `free_word_sign` are exported, so they refuse a letter
+0 (there is no x_0), before free reduction could cancel it.
 """
 
 from __future__ import annotations
@@ -180,6 +184,8 @@ def magnus_expand(word: FreeWord, degree: int) -> NcPolynomial:
     without the public constructor's filter."""
     if degree < 1:
         raise MagnusError("degree must be >= 1")
+    if 0 in word:
+        raise MagnusError("free words have no letter 0: generators start at x_1")
     coeffs: dict[Monomial, int] = {(): 1}
     for t in word:
         x, sign = ((t,), 1) if t > 0 else ((-t,), -1)
@@ -197,6 +203,8 @@ def magnus_expand(word: FreeWord, degree: int) -> NcPolynomial:
 
 
 def free_word_sign(word: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sign:
+    if 0 in word:
+        raise MagnusError("free words have no letter 0: generators start at x_1")
     w = free_reduce(word)
     if not w:
         return Sign.ZERO

@@ -114,11 +114,8 @@ class PLMap:
         return PLMap(tuple((y, x) for x, y in self.breakpoints))
 
     def is_identity(self) -> bool:
-        return (
-            len(self.breakpoints) == 2
-            and self.breakpoints[0][0] == self.breakpoints[0][1]
-            and self.breakpoints[1][0] == self.breakpoints[1][1]
-        )
+        # the constructor fixes the first breakpoint at (0, 0)
+        return len(self.breakpoints) == 2 and self.domain_length == self.range_length
 
     def format_text(self) -> str:
         def frac(v: Fraction) -> str:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from braidfrac import harness
+from braidfrac.braids import act_bottom
 from braidfrac.cli import main
 from braidfrac.families import edge_shift_drs
+from braidfrac.fraction import FractionElement
 from braidfrac.harness import (
     SUITE_NAMES,
     HarnessError,
@@ -71,6 +73,13 @@ def test_negative_budget_refused(t2_pure, suite):
         run_suite(suite, t2_pure, 1, 0, budget=-1)
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+@pytest.mark.parametrize("trials", [0, -5])
+def test_nonpositive_trials_refused(t2_pure, suite, trials):
+    with pytest.raises(HarnessError, match="trials must be >= 1"):
+        run_suite(suite, t2_pure, trials, 0)
+
+
 @pytest.mark.parametrize("suite", ["bi_invariance", "semidirect"])
 def test_pure_only_suites_reject_braided(t2_braided, suite):
     with pytest.raises(HarnessError):
@@ -123,3 +132,51 @@ def test_failed_trials_are_reported(monkeypatch, capsys, t2_braided):
     argv = ["axioms", "--drs", "thompson:2", "--suite", "cone", "--trials", "2"]
     assert main(argv) == 1
     assert capsys.readouterr().out.startswith("suite=cone trials=2 failures=2 seed=0 ")
+
+
+def _inverted_act_bottom(g, b):
+    bup, gb = act_bottom(g, b)
+    return bup, gb.invert()
+
+
+def _flipped(sign_of):
+    return lambda *args: -sign_of(*args)
+
+
+def _left_sign(self, other, **kw):
+    # the sign of the left argument alone: left multiplication moves it
+    return self.sign(**kw)
+
+
+# per suite: its context, the object and name of one thing it checks, a
+# broken replacement, and the first words of the counterexample that follows
+_BREAKS = {
+    "cone": ("pure", harness, "_comb_sign", _flipped(harness._comb_sign),
+             "pure sign disagrees with combing"),
+    "left_invariance": ("braided", FractionElement, "compare", _left_sign,
+                        "left multiplication changed"),
+    "bi_invariance": ("pure", FractionElement, "compare", _left_sign,
+                      "two-sided invariance broken"),
+    "compatibility": ("braided", harness, "act_bottom", _inverted_act_bottom,
+                      "cabling lost positivity"),
+    "indirect_axioms": ("braided", harness, "lamination_trivial", lambda w: False,
+                        "iterated and grafted cabling disagree"),
+    "same_sign": ("braided", harness, "act_bottom", _inverted_act_bottom,
+                  "padding changed the braid-factor sign"),
+    "semidirect": ("pure", FractionElement, "in_kernel_K", lambda self: False,
+                   "kernel part not in the kernel"),
+    "realization": ("plain", harness, "realization_sign",
+                    _flipped(harness.realization_sign),
+                    "realization_sign disagrees with pl_sign"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_reports_failures(monkeypatch, thompson2, suite):
+    # on thompson:2 every leaf is the one letter, so an inverted cabled
+    # braid still fits the leaves of its forests
+    flavor, owner, name, broken, words = _BREAKS[suite]
+    monkeypatch.setattr(owner, name, broken)
+    report = run_suite(suite, make_context(thompson2, flavor), 8, 1, budget=4)
+    assert report.failures > 0 and not report.passed
+    assert report.counterexamples[0].split(": ", 1)[1].startswith(words)

@@ -209,6 +209,10 @@ def test_pure_sign_rejects_non_pure_with_linking():
     [
         (lambda: NcPolynomial(-1), "degree must be >= 0"),
         (lambda: magnus_expand((1,), 0), "degree must be >= 1"),
+        # there is no x_0, so a 0 letter is refused, also where it cancels
+        pytest.param(lambda: free_word_sign((0,)), "no letter 0", id="sign-0"),
+        pytest.param(lambda: free_word_sign((0, 0)), "no letter 0", id="sign-0-0"),
+        pytest.param(lambda: magnus_expand((0,), 2), "no letter 0", id="expand-0"),
     ],
 )
 def test_trust_boundary_errors(call, fragment):
