@@ -75,7 +75,7 @@ class StepBudgetExceeded(RuntimeError):
     """Handle reduction exceeded its rewrite budget."""
 
 
-def free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+def free_reduce(letters: Sequence[int]) -> tuple[int, ...]:
     out: list[int] = []
     for d in letters:
         if out and out[-1] == -d:

@@ -410,60 +410,39 @@ def _grow_forest(
     return forest_from_steps(drs, word, _draw_steps(drs, word, steps, rng)[1])
 
 
-def _label_preserving_target(
-    word: Word, rng: random.Random, pure: bool
-) -> list[int]:
-    """A final arrangement (position -> strand id) preserving labels."""
-    n = len(word)
-    if pure:
-        return list(range(1, n + 1))
-    classes: dict[str, list[int]] = {}
-    for i, a in enumerate(word, start=1):
-        classes.setdefault(a, []).append(i)
-    target = [0] * n
-    for positions in classes.values():
-        strands = positions[:]
-        rng.shuffle(strands)
-        for p, i in zip(positions, strands):
-            target[p - 1] = i
-    return target
-
-
-def _steer_to_target(
-    arr: list[int], target: list[int], rng: random.Random
-) -> list[int]:
-    """Adjacent swaps (as signed generator letters) turning arrangement
-    `arr` into `target`."""
-    arr = arr[:]
-    letters: list[int] = []
-    for p in range(len(arr)):
-        if arr[p] == target[p]:
-            continue
-        q = arr.index(target[p], p + 1)
-        for r in range(q, p, -1):
-            arr[r - 1], arr[r] = arr[r], arr[r - 1]
-            letters.append(r * rng.choice((1, -1)))
-    return letters
-
-
 def _random_braid(
     word: Word, max_letters: int, rng: random.Random, pure: bool
 ) -> DigitalBraid:
-    """Random digital braid from `word` to itself: up to `max_letters`
-    random crossings, then adjacent swaps onto a random label-preserving
-    arrangement (the identity arrangement if `pure`)."""
+    """Random digital braid from `word` to itself, built on one
+    arrangement (position -> strand): up to `max_letters` random crossings;
+    then a label-preserving target arrangement, the strands of each letter
+    shuffled among that letter's positions (the identity if `pure`); then
+    adjacent swaps of random sign that carry the arrangement onto it."""
     n = len(word)
     letters: list[int] = []
+    arr = list(range(n))
     if n >= 2 and max_letters > 0:
         for _ in range(rng.randint(0, max_letters)):
-            letters.append(rng.randint(1, n - 1) * rng.choice((1, -1)))
-    arr = list(range(1, n + 1))
-    for d in letters:
-        k = abs(d)
-        arr[k - 1], arr[k] = arr[k], arr[k - 1]
-    target = _label_preserving_target(word, rng, pure)
-    letters.extend(_steer_to_target(arr, target, rng))
-    return DigitalBraid(word, word, BraidWord(n, free_reduce(tuple(letters))))
+            k = rng.randint(1, n - 1)
+            letters.append(k * rng.choice((1, -1)))
+            arr[k - 1], arr[k] = arr[k], arr[k - 1]
+    target = list(range(n))
+    if not pure:
+        classes: dict[str, list[int]] = {}
+        for p, a in enumerate(word):
+            classes.setdefault(a, []).append(p)
+        for positions in classes.values():
+            strands = positions[:]
+            rng.shuffle(strands)
+            for p, i in zip(positions, strands):
+                target[p] = i
+    for p in range(n):
+        if arr[p] != target[p]:
+            q = arr.index(target[p], p + 1)
+            for r in range(q, p, -1):
+                arr[r - 1], arr[r] = arr[r], arr[r - 1]
+                letters.append(r * rng.choice((1, -1)))
+    return DigitalBraid(word, word, BraidWord(n, free_reduce(letters)))
 
 
 def _braid_piece(
@@ -504,6 +483,8 @@ def random_element(
     per forest piece and a bounded number of braid letters."""
     if budget < 0:
         raise FractionError("budget must be >= 0")
+    if max_braid_letters is not None and max_braid_letters < 0:
+        raise FractionError("max_braid_letters must be >= 0")
     rng = random.Random(seed)
     e = identity_element(context)
     if budget == 0:

@@ -405,6 +405,10 @@ def run_suite(
         raise HarnessError(f"budget must be >= 0, got {budget}")
     if trials < 1:
         raise HarnessError(f"trials must be >= 1, got {trials}")
+    if max_braid_letters < 0:
+        raise HarnessError(f"max_braid_letters must be >= 0, got {max_braid_letters}")
+    if degree_cap < 1:
+        raise HarnessError(f"degree_cap must be >= 1, got {degree_cap}")
     failures = vacuous = 0
     counterexamples: list[str] = []
     start = time.monotonic()

@@ -35,19 +35,20 @@ component is e(g_k), by two facts:
 
 Combing builds only the conjugator, never the image (`_level_component`).
 After each prefix of the word g, x_k maps to u x_p u^{-1} for a word u and
-a position p, starting from u = 1, p = k.  The next letter, acting by phi,
-sends x_p to v x_p' v^{-1}: a positive crossing i sends x_i to
-x_i x_{i+1} x_i^{-1} (v = x_i), a negative one sends x_{i+1} to
-x_{i+1}^{-1} x_i x_{i+1} (v = x_{i+1}^{-1}), and every other case only
-moves or fixes x_p (v = 1).  So u becomes phi(u) v and p becomes p':
-besides the action itself, the tracked u changes only by v, one letter at
-most.  The braid is pure, so p = k at the end, where
-u x_k u^{-1} = W x_k W^{-1} is x_k.g.  Then W^{-1} u commutes with x_k, and
-in a free group the centralizer of x_k is generated by x_k, so
-u = W x_k^m for some m: the tracked u can differ from W only by the right
-factor x_k^m.  Erasing x_k kills that factor, so bar(u) = bar(W), and
-freely reduced the two are the same word: e(g) is read off u letter for
-letter.
+a position p, starting from u = 1, p = k.  Each crossing i sends x_j to
+c x_j' c^{-1}: a positive one sends x_i to x_i x_{i+1} x_i^{-1} and
+x_{i+1} to x_i, a negative one sends x_i to x_{i+1} and x_{i+1} to
+x_{i+1}^{-1} x_i x_{i+1}, and it fixes every other generator.  One table
+per letter, j -> (c, j') for its two moved generators, gives both the
+action phi on u and the step of x_p to v x_p' v^{-1}, v = c at j = p.  So
+u becomes phi(u) v and p becomes p': besides the action itself, the
+tracked u changes only by v, one letter at most.  The braid is pure, so
+p = k at the end, where u x_k u^{-1} = W x_k W^{-1} is x_k.g.  Then
+W^{-1} u commutes with x_k, and in a free group the centralizer of x_k is
+generated by x_k, so u = W x_k^m for some m: the tracked u can differ from
+W only by the right factor x_k^m.  Erasing x_k kills that factor, so
+bar(u) = bar(W), and freely reduced the two are the same word: e(g) is
+read off u letter for letter.
 
 Free words are then signed by the Magnus expansion x_i -> 1 + X_i into
 integer power series in noncommuting variables: order monomials by total
@@ -217,28 +218,7 @@ def free_word_sign(word: FreeWord, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sign
     )
 
 
-# --- braid action on the free group ----------------------------------------
-
-def artin_image(braid_letters: tuple[int, ...], word: FreeWord) -> FreeWord:
-    """Image of a free word under a braid word, letters applied left to
-    right; kept freely reduced throughout."""
-    w = word
-    for d in braid_letters:
-        k = abs(d)
-        out: list[int] = []
-        for t in w:
-            j = abs(t)
-            if j != k and j != k + 1:
-                out.append(t)
-                continue
-            s = 1 if t > 0 else -1
-            if d > 0:
-                out.extend((k, s * (k + 1), -k) if j == k else (s * k,))
-            else:
-                out.extend((s * (k + 1),) if j == k else (-(k + 1), s * k, k + 1))
-        w = free_reduce(tuple(out))
-    return w
-
+# --- combing ----------------------------------------------------------------
 
 def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
     """Braid word on k strands looping strand k once (positively) around
@@ -251,23 +231,31 @@ def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
 def _level_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
     """Level-k component of a pure braid word on k strands: the conjugator
     u of x_k in its image, followed letter by letter as u <- phi(u) v, with
-    x_k erased (facts 1 and 2 and the paragraph after them)."""
+    x_k erased (facts 1 and 2 and the paragraph after them).  One table per
+    letter gives both phi on u and the step of x_p: crossing d sends x_j to
+    c x_j' c^{-1}, stored as j -> (c, j') with c = 0 for the empty word, for
+    the two generators it moves (x_j^{-1} goes to c x_j'^{-1} c^{-1})."""
     u: FreeWord = ()
     p = k
     for d in braid_letters:
         i = d if d > 0 else -d
-        v = 0  # the letter of v, if any
-        if p == i:
-            p = i + 1
-            if d > 0:
-                v = i
-        elif p == i + 1:
-            p = i
-            if d < 0:
-                v = -(i + 1)
-        u = artin_image((d,), u)
-        if v:
-            u = u[:-1] if u and u[-1] == -v else u + (v,)
+        c_i, c_next = (i, 0) if d > 0 else (0, -i - 1)
+        act = {i: (c_i, i + 1), i + 1: (c_next, i)}
+        image: list[int] = []
+        for t in u:
+            j = t if t > 0 else -t
+            if j in act:
+                c, j = act[j]
+                t = j if t > 0 else -j
+                if c:
+                    image += (c, t, -c)
+                    continue
+            image.append(t)
+        if p in act:
+            v, p = act[p]
+            if v:
+                image.append(v)
+        u = free_reduce(image)
     return free_reduce(tuple(t for t in u if abs(t) != k))
 
 

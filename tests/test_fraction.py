@@ -34,7 +34,7 @@ from braidfrac.drs import (
     graft,
     steps_of,
 )
-from braidfrac.families import edge_shift_drs, thompson_drs
+from braidfrac.families import edge_shift_drs, houghton_drs, thompson_drs
 from braidfrac.fraction import (
     ContextMismatchError,
     Flavor,
@@ -209,6 +209,14 @@ _NO_BRAID = DigitalBraid.identity(("x",))
             lambda: elem(_T2, [], (), []).in_kernel_K(),
             "projection is defined on the pure flavor",
         ),
+        (
+            lambda: random_element(_T2, 3, 0, max_braid_letters=-4),
+            "max_braid_letters must be >= 0",
+        ),
+        (
+            lambda: random_element(_T2, 0, 0, max_braid_letters=-1),
+            "max_braid_letters must be >= 0",
+        ),
     ],
 )
 def test_trust_boundary_errors(call, fragment):
@@ -338,6 +346,34 @@ def test_random_element_deterministic(t2_braided):
     assert random_element(t2_braided, 0, 1).is_identity()
     with pytest.raises(FractionError):
         random_element(t2_braided, -1, 0)
+
+
+# random_element's draws, pinned letter for letter: a change to the order
+# or the kind of its generator calls changes them
+@pytest.mark.parametrize(
+    "system, flavor, seed, literal",
+    [
+        ("thompson:2", "braided", 11,
+         "frac T=[1 2 2 3 3 3 7] B=[7 2 3 4 5 1 2 3 4 -6 -5 6 7] S=[1 2 2 2 5 5 7]"),
+        ("thompson:2", "pure", 26,
+         "frac T=[1 1 2 3] B=[4 3 2 1 1 2 3 4 -3 4 -1 -2 4 1 2 1 2 3] S=[1 1 2 3]"),
+        ("thompson:2", "permutation", 11,
+         "frac T=[1 2 2 3 3 3 7] B=[7 2 3 4 5 1 2 3 4 -6 -5 6 7] S=[1 2 2 2 5 5 7]"),
+        ("thompson:2", "plain", 37, "frac T=[1 1 3 3 5 6 6] B=[] S=[1 1 1 1 1 6 7]"),
+        ("houghton:3", "braided", 5,
+         "frac T=[1 3 5 5] B=[-2 -1 -3 -2 4 3 3 4 -5 2 3 1 2 5 -6] S=[1 3 5 5]"),
+        ("houghton:3", "pure", 35,
+         "frac T=[2 4] B=[-2 -4 -1 3 3 1 -2 -4 2 2 3 4 -2 -3 -3 -2 -4 -3] S=[2 4]"),
+        ("houghton:3", "permutation", 5,
+         "frac T=[1 3 5 5] B=[-2 -1 -3 -2 4 3 3 4 -5 2 3 1 2 5 -6] S=[1 3 5 5]"),
+        ("houghton:3", "plain", 11, "frac T=[1 1 4 4 7 7] B=[] S=[1 1 4 4 7 7]"),
+    ],
+)
+def test_random_element_pinned(system, flavor, seed, literal):
+    drs = thompson_drs(2) if system == "thompson:2" else houghton_drs(3)
+    context = GroupContext(drs, drs.base, Flavor(flavor))
+    e = random_element(context, 4, seed, max_braid_letters=6)
+    assert format_element(e) == literal
 
 
 def test_random_element_respects_flavor(t2_pure, t2_plain):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from braidfrac import harness
-from braidfrac.braids import act_bottom
+from braidfrac.braids import DigitalBraid, act_bottom
 from braidfrac.cli import main
 from braidfrac.families import edge_shift_drs
 from braidfrac.fraction import FractionElement
@@ -16,6 +16,8 @@ from braidfrac.harness import (
     report_format,
     run_suite,
 )
+from braidfrac.ordering import Sign
+from braidfrac.plmaps import PLMap, realize_pair
 from conftest import make_context
 
 
@@ -78,6 +80,24 @@ def test_negative_budget_refused(t2_pure, suite):
 def test_nonpositive_trials_refused(t2_pure, suite, trials):
     with pytest.raises(HarnessError, match="trials must be >= 1"):
         run_suite(suite, t2_pure, trials, 0)
+
+
+# every suite on the pure flavor, and the braided cone, which never reaches
+# the degree cap and so ran without complaint at degree_cap=0
+@pytest.mark.parametrize(
+    "flavor, suite", [("pure", s) for s in SUITE_NAMES] + [("braided", "cone")]
+)
+@pytest.mark.parametrize(
+    "limit, message",
+    [
+        ({"max_braid_letters": -4}, "max_braid_letters must be >= 0"),
+        ({"degree_cap": 0}, "degree_cap must be >= 1"),
+    ],
+    ids=["letters", "degree_cap"],
+)
+def test_out_of_range_limits_refused(thompson2, flavor, suite, limit, message):
+    with pytest.raises(HarnessError, match=message):
+        run_suite(suite, make_context(thompson2, flavor), 1, 0, **limit)
 
 
 @pytest.mark.parametrize("suite", ["bi_invariance", "semidirect"])
@@ -143,39 +163,87 @@ def _flipped(sign_of):
     return lambda *args: -sign_of(*args)
 
 
+def _negated(test):
+    return lambda *args, **kw: not test(*args, **kw)
+
+
 def _left_sign(self, other, **kw):
     # the sign of the left argument alone: left multiplication moves it
     return self.sign(**kw)
 
 
-# per suite: its context, the object and name of one thing it checks, a
-# broken replacement, and the first words of the counterexample that follows
-_BREAKS = {
-    "cone": ("pure", harness, "_comb_sign", _flipped(harness._comb_sign),
-             "pure sign disagrees with combing"),
-    "left_invariance": ("braided", FractionElement, "compare", _left_sign,
-                        "left multiplication changed"),
-    "bi_invariance": ("pure", FractionElement, "compare", _left_sign,
-                      "two-sided invariance broken"),
-    "compatibility": ("braided", harness, "act_bottom", _inverted_act_bottom,
-                      "cabling lost positivity"),
-    "indirect_axioms": ("braided", harness, "lamination_trivial", lambda w: False,
-                        "iterated and grafted cabling disagree"),
-    "same_sign": ("braided", harness, "act_bottom", _inverted_act_bottom,
-                  "padding changed the braid-factor sign"),
-    "semidirect": ("pure", FractionElement, "in_kernel_K", lambda self: False,
-                   "kernel part not in the kernel"),
-    "realization": ("plain", harness, "realization_sign",
-                    _flipped(harness.realization_sign),
-                    "realization_sign disagrees with pl_sign"),
-}
+def _negative_element(context, *args):
+    return harness._canonical_positive(context).invert()
 
 
-@pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_every_suite_reports_failures(monkeypatch, thompson2, suite):
+def _swapped_realize_pair(t, s):
+    return realize_pair(s, t)
+
+
+def _case(suite, flavor, owner, name, broken, words, case=None):
+    return pytest.param(
+        suite, flavor, owner, name, broken, words,
+        id=suite if case is None else f"{suite}-{case}",
+    )
+
+
+# per failure return of a suite: its context, the object and name of one
+# thing it checks, a broken replacement, and the first words of the
+# counterexample that follows
+_BREAKS = [
+    _case("cone", "pure", harness, "_comb_sign", _flipped(harness._comb_sign),
+          "pure sign disagrees with combing"),
+    _case("cone", "braided", harness, "_positive_element", _negative_element,
+          "product of positives not positive", "product"),
+    _case("cone", "braided", FractionElement, "is_identity",
+          _negated(FractionElement.is_identity),
+          "sign zero disagrees with identity test", "identity"),
+    _case("cone", "braided", Sign, "__neg__", lambda self: self,
+          "sign not antisymmetric under inversion", "antisymmetry"),
+    _case("left_invariance", "braided", FractionElement, "compare", _left_sign,
+          "left multiplication changed"),
+    _case("bi_invariance", "pure", FractionElement, "compare", _left_sign,
+          "two-sided invariance broken"),
+    _case("bi_invariance", "pure", harness, "_positive_element", _negative_element,
+          "conjugate of a positive not positive", "conjugate"),
+    _case("compatibility", "braided", harness, "act_bottom", _inverted_act_bottom,
+          "cabling lost positivity"),
+    _case("indirect_axioms", "braided", harness, "lamination_trivial",
+          lambda w: False, "iterated and grafted cabling disagree"),
+    # grafting only the first forest leaves the second one's leaves off
+    # the cabled braid's bottom, so the label check fails
+    _case("indirect_axioms", "braided", harness, "graft", lambda f, g: f,
+          "iterated and grafted cabling disagree", "labels"),
+    _case("indirect_axioms", "braided", DigitalBraid, "compose",
+          lambda self, other: self, "composition axiom failed", "composition"),
+    _case("same_sign", "braided", harness, "act_bottom", _inverted_act_bottom,
+          "padding changed the braid-factor sign"),
+    _case("semidirect", "pure", FractionElement, "in_kernel_K", lambda self: False,
+          "kernel part not in the kernel"),
+    _case("semidirect", "pure", FractionElement, "is_identity",
+          _negated(FractionElement.is_identity),
+          "decomposition does not recompose", "recompose"),
+    # a projection that keeps the braid tells e from its section
+    _case("semidirect", "pure", FractionElement, "psi_project", lambda self: self,
+          "section does not match the projection", "projection"),
+    _case("realization", "plain", harness, "realization_sign",
+          _flipped(harness.realization_sign),
+          "realization_sign disagrees with pl_sign"),
+    _case("realization", "plain", harness, "graft", lambda f, g: f,
+          "realization not functorial", "functoriality"),
+    _case("realization", "plain", harness, "realize_pair", _swapped_realize_pair,
+          "realize_pair disagrees with the composed realizations", "realize_pair"),
+    _case("realization", "plain", PLMap, "is_identity", lambda self: True,
+          "realization faithfulness failed", "faithfulness"),
+]
+
+
+@pytest.mark.parametrize("suite, flavor, owner, name, broken, words", _BREAKS)
+def test_every_suite_reports_failures(
+    monkeypatch, thompson2, suite, flavor, owner, name, broken, words
+):
     # on thompson:2 every leaf is the one letter, so an inverted cabled
     # braid still fits the leaves of its forests
-    flavor, owner, name, broken, words = _BREAKS[suite]
     monkeypatch.setattr(owner, name, broken)
     report = run_suite(suite, make_context(thompson2, flavor), 8, 1, budget=4)
     assert report.failures > 0 and not report.passed
