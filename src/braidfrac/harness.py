@@ -49,7 +49,7 @@ from .fraction import (
     Flavor,
     FractionElement,
     GroupContext,
-    _draw_steps,
+    _braid_piece,
     _grow_forest,
     _plain_piece,
     _random_braid,
@@ -187,7 +187,8 @@ def _suite_cone(context, rng, budget, letters, degree_cap):
                 )
     elif context.flavor is Flavor.PURE_BRAIDED:
         # the pure sign reads linking numbers and combs at most one level;
-        # combing every level is the independent check
+        # combing level by level up to the deciding one is the
+        # independent check
         for x in (u, v, uv, e):
             w = x.g.word
             fast = pure_word_sign(w.letters, w.strands, degree_cap)
@@ -267,10 +268,8 @@ def _braids_equal(a: DigitalBraid, b: DigitalBraid) -> bool:
 
 
 def _random_digital_braid(context, rng, budget, letters):
-    """The braid of `fraction._braid_piece`, drawn from the same generator
-    calls without building its forest or element."""
-    leaves = _draw_steps(context.drs, context.base, rng.randint(0, budget), rng)[0]
-    return _random_braid(leaves, letters, rng, context.flavor is Flavor.PURE_BRAIDED)
+    """The braid of a `fraction._braid_piece` of up to `budget` steps."""
+    return _braid_piece(context, rng.randint(0, budget), letters, rng).g
 
 
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):

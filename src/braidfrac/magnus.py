@@ -33,9 +33,10 @@ component is e(g_k), by two facts:
    The images are the same freely reduced word, so the component is the
    same letter for letter.
 
-Combing builds only the conjugator, never the image (`_level_component`).
-After each prefix of the word g, x_k maps to u x_p u^{-1} for a word u and
-a position p, starting from u = 1, p = k.  Each crossing i sends x_j to
+Combing builds only the conjugator, never the image (`_level_component`,
+which first deletes strands k+1..n to get g_k).  After each prefix of
+the word g, x_k maps to u x_p u^{-1} for a word u and a position p,
+starting from u = 1, p = k.  Each crossing i sends x_j to
 c x_j' c^{-1}: a positive one sends x_i to x_i x_{i+1} x_i^{-1} and
 x_{i+1} to x_i, a negative one sends x_i to x_{i+1} and x_{i+1} to
 x_{i+1}^{-1} x_i x_{i+1}, and it fixes every other generator.  One table
@@ -79,18 +80,22 @@ lamination walks down from there to the lowest level whose strands do not
 form the trivial braid.  If that level has a nonzero linking number, its
 least linked strand gives the sign; otherwise that level alone is combed,
 and only there can the degree cap be reached.  `pure_word_sign` proves
-this.  `_comb_sign` signs the first nonempty component of `comb_word`'s
-combed form, from level 2 up; it is the reference the tests and the
-`cone` suite check the order against, and it reads exactly the combing
-that `recombine` checks.
+this.  `_comb_sign` is the reference the tests and the `cone` suite check
+the order against: it combs the levels from 2 up, each as `comb_word`
+combs it, and signs the first nonempty component with `free_word_sign`,
+combing no level above it.  So it reads exactly the components that
+`recombine` checks, and shares none of the order path's shortcuts.
 
-`pure_word_sign` takes the letters of a valid braid word (those of a
-`BraidWord`, as every caller passes) and does not validate them again.  It
-reads purity off the strand arrangement its linking-number pass ends with,
-so the order path neither validates the word again nor computes its
-permutation; `comb_word`, the one entry to combing and the one loop over
-the levels, still checks its input.  Strands are deleted by
-`braids.delete_strand`, the inverse of cabling.
+`_level_component(letters, n, k)` is the one place that knows which braid
+a level is read from: it deletes strands k+1..n itself, by one call of
+`braids.delete_strand` (the inverse of cabling).  A component is a freely
+reduced element of a free group, so the order of deletions cannot change
+it, and `comb_word`, `_comb_sign` and `pure_word_sign` each name only the
+levels they read.  `comb_word` is public and checks that its word is pure.
+`pure_word_sign` is exported too: it refuses a letter 0 and a letter past
+n - 1 with `MagnusError`, and reads purity off the strand arrangement its
+linking-number pass ends with, so the order path never builds a
+`BraidWord` or computes its permutation.
 
 A free word spells x_j as the letter j and x_j^{-1} as -j, for j >= 1.
 `magnus_expand` and `free_word_sign` are exported, so they refuse a letter
@@ -228,16 +233,17 @@ def _loop_generator_word(j: int, k: int) -> tuple[int, ...]:
     )
 
 
-def _level_component(braid_letters: tuple[int, ...], k: int) -> FreeWord:
-    """Level-k component of a pure braid word on k strands: the conjugator
-    u of x_k in its image, followed letter by letter as u <- phi(u) v, with
-    x_k erased (facts 1 and 2 and the paragraph after them).  One table per
+def _level_component(letters: tuple[int, ...], n: int, k: int) -> FreeWord:
+    """Level-k component of a pure braid word on n strands, read off g_k,
+    the word left after deleting strands k+1..n: the conjugator u of x_k
+    in its image, followed letter by letter as u <- phi(u) v, with x_k
+    erased (facts 1 and 2 and the paragraph after them).  One table per
     letter gives both phi on u and the step of x_p: crossing d sends x_j to
     c x_j' c^{-1}, stored as j -> (c, j') with c = 0 for the empty word, for
     the two generators it moves (x_j^{-1} goes to c x_j'^{-1} c^{-1})."""
     u: FreeWord = ()
     p = k
-    for d in braid_letters:
+    for d in delete_strand(letters, n, k + 1, n):
         i = d if d > 0 else -d
         c_i, c_next = (i, 0) if d > 0 else (0, -i - 1)
         act = {i: (c_i, i + 1), i + 1: (c_next, i)}
@@ -267,16 +273,12 @@ class CombedForm:
 
 def comb_word(letters: tuple[int, ...], n: int) -> CombedForm:
     """Combed form of a pure braid word on n strands: level by level from
-    n down, the level-k component of g_k, the word left after deleting
-    strands k+1..n.  The one loop over the levels."""
+    n down, the level-k component of g_k (`_level_component`)."""
     if not BraidWord(n, letters).is_pure():
         raise MagnusError("braid is not pure")
-    w = free_reduce(letters)
-    components: list[FreeWord] = []
-    for k in range(n, 1, -1):
-        components.append(_level_component(w, k))
-        w = delete_strand(w, k, k, k)
-    return CombedForm(n, tuple(components))
+    return CombedForm(
+        n, tuple(_level_component(letters, n, k) for k in range(n, 1, -1))
+    )
 
 
 def recombine(form: CombedForm) -> BraidWord:
@@ -296,12 +298,13 @@ def recombine(form: CombedForm) -> BraidWord:
 
 
 def _comb_sign(letters: tuple[int, ...], n: int, degree_cap: int) -> Sign:
-    """Sign of a pure braid word by combing every level with `comb_word`,
-    the combing `recombine` checks: the first nonempty component, from
-    level 2 up, decides by its Magnus sign."""
-    components = comb_word(letters, n).components
-    first = next((c for c in reversed(components) if c), ())
-    return free_word_sign(first, degree_cap)
+    """Sign of a pure braid word by combing, the oracle for
+    `pure_word_sign`: the levels are combed from 2 up, each as `comb_word`
+    combs it, and the first nonempty component decides by its Magnus sign;
+    no level above it is combed.  The word must be pure; the `cone` suite
+    passes only words that `pure_word_sign` has checked."""
+    components = (_level_component(letters, n, k) for k in range(2, n + 1))
+    return free_word_sign(next((c for c in components if c), ()), degree_cap)
 
 
 def pure_word_sign(
@@ -338,21 +341,27 @@ def pure_word_sign(
     so `DegreeCapExceeded` can only arise there: a word decided by its
     linking numbers is one `free_word_sign` decides at degree 1.
 
-    `letters` must be a valid word on n >= 1 strands, as the letters of a
-    `BraidWord` are; every caller passes one.  Purity is read off the
-    strand arrangement that the linking-number pass ends with, and a word
-    that is not pure raises `MagnusError` before any sign is returned."""
+    `letters` is a word on n >= 1 strands.  A letter 0 or one past n - 1
+    raises `MagnusError`: the first is tested for, the second ends the
+    linking-number pass out of range.  Purity is read off the strand
+    arrangement that the pass ends with, and a word that is not pure
+    raises `MagnusError` before any sign is returned."""
+    if 0 in letters:
+        raise MagnusError("braid words have no letter 0: generators start at 1")
     if not letters:
         return Sign.ZERO
     m = n + 1
     at = list(range(m))  # at[p] = strand (top position) at position p
     twice_lk = [0] * (m * m)  # 2 lk(j, k) at k * m + j, j < k
-    for d in letters:
-        p = d if d > 0 else -d
-        a, b = at[p], at[p + 1]
-        at[p], at[p + 1] = b, a
-        i = b * m + a if a < b else a * m + b
-        twice_lk[i] += 1 if d > 0 else -1
+    try:
+        for d in letters:
+            p = d if d > 0 else -d
+            a, b = at[p], at[p + 1]
+            at[p], at[p + 1] = b, a
+            i = b * m + a if a < b else a * m + b
+            twice_lk[i] += 1 if d > 0 else -1
+    except IndexError:
+        raise MagnusError(f"a letter is out of range for {n} strands") from None
     if at != list(range(m)):
         raise MagnusError("braid is not pure")
     k = next((k for k in range(2, m) if any(twice_lk[k * m : k * m + k])), m)
@@ -365,5 +374,4 @@ def pure_word_sign(
     lk = next((x for x in twice_lk[k * m : k * m + k] if x), 0)
     if lk and degree_cap >= 1:  # below degree 1 combing decides nothing
         return Sign.POSITIVE if lk > 0 else Sign.NEGATIVE
-    g_k = delete_strand(letters, n, k + 1, n)
-    return free_word_sign(_level_component(g_k, k), degree_cap)
+    return free_word_sign(_level_component(letters, n, k), degree_cap)

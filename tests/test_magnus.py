@@ -4,7 +4,8 @@ Combing is checked against the braid oracles: recombining the combed
 components must reproduce the original word up to braid equivalence,
 verified through handle reduction and the lamination action independently.
 `pure_word_sign`, which reads linking numbers and combs at most one level,
-is checked against combing every level (`_comb_sign`).
+is checked against combing level by level up to the deciding one
+(`_comb_sign`).
 """
 
 from __future__ import annotations
@@ -211,6 +212,13 @@ def test_pure_sign_rejects_non_pure_with_linking():
         pytest.param(lambda: free_word_sign((0,)), "no letter 0", id="sign-0"),
         pytest.param(lambda: free_word_sign((0, 0)), "no letter 0", id="sign-0-0"),
         pytest.param(lambda: magnus_expand((0,), 2), "no letter 0", id="expand-0"),
+        # `pure_word_sign` is exported, so it refuses letters outside
+        # +-1..n-1 rather than signing them or indexing past its arrays
+        pytest.param(lambda: pure_word_sign((0, 0), 3), "no letter 0", id="pure-0-0"),
+        pytest.param(lambda: pure_word_sign((3, 3), 3), "out of range", id="pure-3-3"),
+        pytest.param(
+            lambda: pure_word_sign((-3, -3), 3), "out of range", id="pure-neg-3-3"
+        ),
     ],
 )
 def test_trust_boundary_errors(call, fragment):
@@ -404,9 +412,9 @@ def test_pure_sign_matches_combing(monkeypatch):
     one level per word."""
     combs = []
 
-    def level_component(letters, k):
+    def level_component(letters, n, k):
         combs.append(k)
-        return _level_component(letters, k)
+        return _level_component(letters, n, k)
 
     monkeypatch.setattr(magnus, "_level_component", level_component)
     counts: dict[tuple[str, Sign], int] = {}
@@ -427,6 +435,31 @@ def test_pure_sign_matches_combing(monkeypatch):
     assert decided >= 5_000 and combed >= 2_500, (decided, combed)
     for kind in ("random", "closed", "commutator", "hidden", "padded", "compare"):
         assert counts[kind, Sign.POSITIVE] and counts[kind, Sign.NEGATIVE], kind
+
+
+def test_comb_sign_stops_at_deciding_level(monkeypatch):
+    """The oracle combs from level 2 up and stops at the first nonempty
+    component, which is the one `comb_word` gives for that level."""
+    combs = []
+
+    def level_component(letters, n, k):
+        combs.append(k)
+        return _level_component(letters, n, k)
+
+    monkeypatch.setattr(magnus, "_level_component", level_component)
+    assert _comb_sign(a_jk(1, 2), 4, 16) is Sign.POSITIVE
+    assert combs == [2]
+    # strands 1..3 carry the commutator [A12, A23]: level 2 is empty and
+    # level 3 decides, so level 4 is never combed
+    comm = (1, 1, 2, 2, -1, -1, -2, -2)
+    combs.clear()
+    assert _comb_sign(comm + a_jk(1, 4), 4, 16) is Sign.NEGATIVE
+    assert combs == [2, 3]
+    monkeypatch.undo()
+    for kind, n, letters in itertools.islice(_pure_corpus(), 0, None, 10):
+        components = comb_word(letters, n).components
+        first = next((c for c in reversed(components) if c), ())
+        assert _comb_sign(letters, n, 16) is free_word_sign(first), (kind, n)
 
 
 def test_pure_sign_named_values():
