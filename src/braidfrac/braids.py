@@ -42,12 +42,15 @@ them for `handle_reduce`, those made before the sign is settled for
 `dehornoy_sign`.
 
 Validation happens at the trust boundary: ``BraidWord(...)`` checks its
-generator indices and ``DigitalBraid(...)`` its labels against the strand
-permutation, and `BraidWord.parse` goes through the former.  Inverses,
+generator indices, which must be ints, and ``DigitalBraid(...)`` its labels
+against the strand permutation, and `BraidWord.parse` goes through the
+former; both store their sequence fields as tuples.  Inverses,
 products, `handle_reduce` results, composites and both outputs of
 `act_bottom` are derived from values already checked and are built without
 re-validation, by `_braid_word` and `_digital_braid` (and `drs._forest`),
-the positional constructors that `drs._constructor` makes for each class.
+the positional constructors that `drs._constructor` makes for each class;
+so is the random braid of ``fraction``, whose strands join equal letters
+by construction.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .drs import ExpansionForest, ExpansionTree, SourceMismatchError, Word
-from .drs import _constructor, _forest
+from .drs import _constructor, _forest, _set_field
 from .ordering import Sign
 
 DEFAULT_STEP_BUDGET = 10**6
@@ -91,9 +94,12 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        _set_field(self, "letters", tuple(self.letters))
         if self.strands < 1:
             raise BraidError(f"strand count must be >= 1, got {self.strands}")
         for d in self.letters:
+            if not isinstance(d, int):
+                raise BraidError(f"generator index {d!r} is not an int")
             if d == 0 or not 1 <= abs(d) <= self.strands - 1:
                 raise BraidError(
                     f"generator index {d} out of range for {self.strands} strands"
@@ -336,6 +342,8 @@ class DigitalBraid:
     word: BraidWord
 
     def __post_init__(self) -> None:
+        _set_field(self, "top", tuple(self.top))
+        _set_field(self, "bottom", tuple(self.bottom))
         n = len(self.top)
         if len(self.bottom) != n:
             raise LabelMismatchError("top and bottom have different lengths")

@@ -66,11 +66,14 @@ takes part in ``==``, ``hash`` or ``repr``.
 Validation happens at the trust boundary: the public constructors
 (``ExpansionForest(...)`` here, ``BraidWord``, ``DigitalBraid`` and
 ``FractionElement`` further up) and the parsers, which all go through them,
-check every value handed in.  `forest_from_steps` checks the word and each
+check every value handed in, and store each sequence field as a tuple, so
+a value built from lists equals and hashes like one built from tuples.
+`forest_from_steps` checks the word and each
 step as it applies it, so every tree it freezes follows the rules.  The
-library's own operations (`graft`, `complement`, `forest_join`, and their
-counterparts in ``braids`` and ``fraction``) build their results from values
-already checked, by rules that keep them valid, so they skip re-validation:
+library's own operations (`graft`, `complement`, `forest_join`, their
+counterparts in ``braids`` and ``fraction``, and the random draws) build
+their results from values already checked, by rules that keep them valid,
+so they skip re-validation:
 each class they build this way has one positional constructor beside it,
 made once by `_constructor` (here `_forest`), which sets the fields through
 their slot descriptors.  Trees have one too, `_new_tree`, but only
@@ -176,6 +179,7 @@ class RewriteRule:
     rhs: Word
 
     def __post_init__(self) -> None:
+        _set_field(self, "rhs", tuple(self.rhs))
         if len(self.rhs) < 2:
             raise DrsError(
                 f"rule {self.lhs} -> {' '.join(self.rhs)}: right side must "
@@ -191,6 +195,8 @@ class DigitRewritingSystem:
     rule_map: dict[str, RewriteRule] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("alphabet", "rules", "base"):
+            _set_field(self, name, tuple(getattr(self, name)))
         seen: set[str] = set()
         for a in self.alphabet:
             if not _LETTER_RE.match(a):
@@ -291,6 +297,7 @@ class ExpansionForest:
     trees: tuple[ExpansionTree, ...]
 
     def __post_init__(self) -> None:
+        _set_field(self, "trees", tuple(self.trees))
         self.drs.check_word(self.source)
         rules = self.drs.rule_map
         for _, node in _nodes(self.trees):

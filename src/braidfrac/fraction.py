@@ -54,11 +54,16 @@ path as the independent oracle the tests and suites play against it.
 
 Validation happens at the trust boundary: ``FractionElement(...)`` checks
 sources, leaf words, the rewriting system and the flavor's braid condition,
-and `parse_element` and the CLI's expressions go through it.  Products and
+and `parse_element` and the CLI's expressions go through it;
+``GroupContext(...)`` stores its base word as a tuple, as every public
+constructor stores the sequences it is handed.  Products and
 inverses are derived from checked elements by operations that keep them
 valid, so they are built without re-validation, by `_element` and the
 braid layer's `_digital_braid` and `_braid_word`, the positional
-constructors that `drs._constructor` makes for each class.
+constructors that `drs._constructor` makes for each class.  So are the
+random draws: `_braid_draw` returns its steps and a braid whose strands
+join equal letters, `_forest_pair` two forests with equal leaf words, and
+`random_element` and the suites build from them only what they keep.
 """
 
 from __future__ import annotations
@@ -92,6 +97,7 @@ from .drs import (
     _leaf_nodes,
     _nodes,
     _pruned,
+    _set_field,
     forest_from_steps,
     format_steps,
     parse_steps,
@@ -135,6 +141,7 @@ class GroupContext:
     flavor: Flavor
 
     def __post_init__(self) -> None:
+        _set_field(self, "base", tuple(self.base))
         if not isinstance(self.flavor, Flavor):
             raise FractionError(f"flavor must be a Flavor, got {self.flavor!r}")
         if not self.base:
@@ -417,7 +424,9 @@ def _random_braid(
     arrangement (position -> strand): up to `max_letters` random crossings;
     then a label-preserving target arrangement, the strands of each letter
     shuffled among that letter's positions (the identity if `pure`); then
-    adjacent swaps of random sign that carry the arrangement onto it."""
+    adjacent swaps of random sign that carry the arrangement onto it.  The
+    swaps end on the target, so every strand joins equal letters, and each
+    index lies in 1..n-1: the braid is built positionally, unchecked."""
     n = len(word)
     letters: list[int] = []
     arr = list(range(n))
@@ -442,22 +451,23 @@ def _random_braid(
             for r in range(q, p, -1):
                 arr[r - 1], arr[r] = arr[r], arr[r - 1]
                 letters.append(r * rng.choice((1, -1)))
-    return DigitalBraid(word, word, BraidWord(n, free_reduce(letters)))
+    return _digital_braid(word, word, _braid_word(n, free_reduce(letters)))
 
 
-def _braid_piece(
+def _braid_draw(
     context: GroupContext, steps: int, max_letters: int, rng: random.Random
-) -> FractionElement:
-    f = _grow_forest(context.drs, context.base, steps, rng)
+) -> tuple[list[int], DigitalBraid]:
+    """Up to `steps` random expansions of the base and a random braid on
+    the leaf word they reach (pure in the pure flavor): the steps and the
+    braid, with no forest built."""
+    leaves, chosen = _draw_steps(context.drs, context.base, steps, rng)
     pure = context.flavor is Flavor.PURE_BRAIDED
-    return FractionElement(
-        context, f, _random_braid(f.leaves(), max_letters, rng, pure), f
-    )
+    return chosen, _random_braid(leaves, max_letters, rng, pure)
 
 
-def _plain_piece(
+def _forest_pair(
     context: GroupContext, steps: int, rng: random.Random
-) -> FractionElement:
+) -> tuple[ExpansionForest, ExpansionForest]:
     """T and S drawn with equal leaf words, S = T if none of 64 candidate
     draws matches; only T and the accepted S are built."""
     drs, base = context.drs, context.base
@@ -469,8 +479,7 @@ def _plain_piece(
             s_steps = cand
             break
     t = forest_from_steps(drs, base, t_steps)
-    s = t if s_steps is t_steps else forest_from_steps(drs, base, s_steps)
-    return FractionElement(context, t, DigitalBraid.identity(top), s)
+    return t, (t if s_steps is t_steps else forest_from_steps(drs, base, s_steps))
 
 
 def random_element(
@@ -479,25 +488,34 @@ def random_element(
     seed: int,
     max_braid_letters: int | None = None,
 ) -> FractionElement:
-    """Deterministic pseudo-random element: at most `budget` expansion steps
-    per forest piece and a bounded number of braid letters."""
+    """Deterministic pseudo-random element: the product of one to three
+    pieces, each of at most `budget` expansion steps per forest and a
+    bounded number of braid letters.  A piece is a forest pair with the
+    identity braid (`_forest_pair`; every piece in the plain flavor) or
+    a braid on one forest (`_braid_draw`).  The draws keep the labels and
+    the flavor's braid condition, so each piece is built positionally, and
+    the product starts from the first piece; the identity is drawn only at
+    budget 0."""
     if budget < 0:
         raise FractionError("budget must be >= 0")
     if max_braid_letters is not None and max_braid_letters < 0:
         raise FractionError("max_braid_letters must be >= 0")
     rng = random.Random(seed)
-    e = identity_element(context)
     if budget == 0:
-        return e
+        return identity_element(context)
     if max_braid_letters is None:
         max_braid_letters = 2 * budget
+    e: FractionElement | None = None
     for _ in range(rng.randint(1, 3)):
         steps = rng.randint(0, budget)
         if context.flavor is Flavor.PLAIN or rng.random() < 0.25:
-            piece = _plain_piece(context, steps, rng)
+            t, s = _forest_pair(context, steps, rng)
+            piece = _element(context, t, DigitalBraid.identity(t.leaves()), s)
         else:
-            piece = _braid_piece(context, steps, max_braid_letters, rng)
-        e = e * piece
+            chosen, g = _braid_draw(context, steps, max_braid_letters, rng)
+            f = forest_from_steps(context.drs, context.base, chosen)
+            piece = _element(context, f, g, f)
+        e = piece if e is None else e * piece
     return e
 
 

@@ -49,9 +49,9 @@ from .fraction import (
     Flavor,
     FractionElement,
     GroupContext,
-    _braid_piece,
+    _braid_draw,
+    _forest_pair,
     _grow_forest,
-    _plain_piece,
     _random_braid,
     format_element,
     random_element,
@@ -240,7 +240,10 @@ def _braid_sign(context: GroupContext, g: DigitalBraid, degree_cap: int) -> Sign
 def _random_positive_braid(context, rng, budget, letters, degree_cap):
     """Digital braid with positive sign (Dehornoy or Magnus per flavor)
     whose bottom word admits an expansion."""
-    draws = (_random_digital_braid(context, rng, budget, letters) for _ in range(40))
+    draws = (
+        _braid_draw(context, rng.randint(0, budget), letters, rng)[1]
+        for _ in range(40)
+    )
     g = _first_positive(
         (x for x in draws if _expandable(context.drs, x.bottom)),
         lambda x: _braid_sign(context, x, degree_cap),
@@ -267,14 +270,9 @@ def _braids_equal(a: DigitalBraid, b: DigitalBraid) -> bool:
     return dehornoy_sign(diff) is Sign.ZERO and lamination_trivial(diff)
 
 
-def _random_digital_braid(context, rng, budget, letters):
-    """The braid of a `fraction._braid_piece` of up to `budget` steps."""
-    return _braid_piece(context, rng.randint(0, budget), letters, rng).g
-
-
 def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
     # g^(B1 B2) = (g^B1)^B2
-    g = _random_digital_braid(context, rng, budget, letters)
+    g = _braid_draw(context, rng.randint(0, budget), letters, rng)[1]
     b1 = _grow_forest(context.drs, g.bottom, rng.randint(0, budget), rng)
     _, gb1 = act_bottom(g, b1)
     b2 = _grow_forest(context.drs, gb1.bottom, rng.randint(0, budget), rng)
@@ -287,7 +285,7 @@ def _suite_indirect_axioms(context, rng, budget, letters, degree_cap):
             f"{b2.leaves()}"
         )
     # (g1 g2)^B = g1^(g2 B) g2^B, with g2 drawn on g1's bottom word
-    g1 = _random_digital_braid(context, rng, budget, letters)
+    g1 = _braid_draw(context, rng.randint(0, budget), letters, rng)[1]
     g2 = _random_braid(
         g1.bottom, letters, rng, context.flavor is Flavor.PURE_BRAIDED
     )
@@ -348,8 +346,7 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
         )
     # at least one step, budget permitting: at budget 0 both forests are
     # the base word; a failed search gives S = T, which compares nothing
-    pair = _plain_piece(context, rng.randint(min(1, budget), budget), rng)
-    t, s = pair.T, pair.S
+    t, s = _forest_pair(context, rng.randint(min(1, budget), budget), rng)
     m = realize_pair(t, s)
     if m != pl_compose(realize_forest(t), realize_forest(s).inverse()):
         return (

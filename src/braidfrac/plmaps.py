@@ -28,7 +28,9 @@ interval later, so the pair is positive iff that forest is T.
 command and are the reference the direct sign is tested against.
 
 All breakpoints are exact rationals; there are no tolerances anywhere in
-this module.
+this module.  ``PLMap(...)`` refuses a coordinate that is neither an
+``int`` nor a ``Fraction`` and stores its breakpoints, and each point, as
+tuples; `PLMap.from_points` converts its points through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .drs import (
     ExpansionTree,
     SourceMismatchError,
     _check_roots,
+    _set_field,
 )
 from .ordering import Sign
 
@@ -73,9 +76,14 @@ class PLMap:
     breakpoints: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        bps = self.breakpoints
+        bps = tuple(tuple(p) for p in self.breakpoints)
+        _set_field(self, "breakpoints", bps)
         if len(bps) < 2:
             raise PLMapError("need at least two breakpoints")
+        for p in bps:
+            for v in p:
+                if not isinstance(v, (int, Fraction)):
+                    raise PLMapError(f"coordinate {v!r} is not an int or a Fraction")
         if bps[0] != (Fraction(0), Fraction(0)):
             raise PLMapError(f"first breakpoint must be (0,0), got {bps[0]}")
         for (x0, y0), (x1, y1) in zip(bps, bps[1:]):

@@ -64,6 +64,7 @@ def test_braid_word_validation():
             BraidError,
             "braid has 3 strands, expected 2",
         ),
+        (lambda: BraidWord(2, (1.0,)), BraidError, "generator index 1.0 is not an int"),
     ],
 )
 def test_trust_boundary_errors(call, error, fragment):

@@ -23,6 +23,7 @@ from braidfrac.drs import (
     DigitRewritingSystem,
     ExpansionForest,
     ExpansionTree,
+    RewriteRule,
     _constructor,
     _forest,
     complement,
@@ -42,7 +43,9 @@ from braidfrac.fraction import (
     FractionError,
     GroupContext,
     TorsionOrderError,
+    _braid_draw,
     _element,
+    _forest_pair,
     _grow_forest,
     format_element,
     identity_element,
@@ -51,7 +54,7 @@ from braidfrac.fraction import (
 )
 from braidfrac.magnus import comb_word, magnus_expand
 from braidfrac.ordering import Comparison, Sign
-from braidfrac.plmaps import realize_pair
+from braidfrac.plmaps import PLMap, realize_pair
 from conftest import make_context
 
 
@@ -224,6 +227,84 @@ def test_trust_boundary_errors(call, fragment):
         call()
 
 
+# a system whose rule, alphabet and base are lists
+_X_LISTS = DigitRewritingSystem(["x"], [RewriteRule("x", ["x", "x"])], ["x"])
+_X_TUPLES = DigitRewritingSystem(("x",), (RewriteRule("x", ("x", "x")),), ("x",))
+
+
+def _list_forest_element():
+    t = ExpansionForest(_T2.drs, list(_XX.trees))
+    return FractionElement(_T2, t, DigitalBraid.identity(_XX.leaves()), _XX)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: (RewriteRule("x", ["x", "x"]), RewriteRule("x", ("x", "x"))),
+            id="rule",
+        ),
+        pytest.param(lambda: (_X_LISTS, _X_TUPLES), id="system"),
+        pytest.param(
+            lambda: (
+                ExpansionForest(_X_LISTS, _XX.trees),
+                forest_from_steps(_X_TUPLES, ("x",), [1]),
+            ),
+            id="forest-of-list-rule",
+        ),
+        pytest.param(
+            lambda: (
+                forest_with_leaves(_X_LISTS, ("x",), ("x", "x")),
+                forest_from_steps(_X_TUPLES, ("x",), [1]),
+            ),
+            id="forest-with-leaves-of-list-rule",
+        ),
+        pytest.param(
+            lambda: (ExpansionForest(_T2.drs, list(_XX.trees)), _XX), id="forest"
+        ),
+        pytest.param(lambda: (BraidWord(2, [1, -1]), BraidWord(2, (1, -1))), id="word"),
+        pytest.param(
+            lambda: (BraidWord(2, [1, -1]) * BraidWord(2, (1,)), BraidWord(2, (1,))),
+            id="word-product",
+        ),
+        pytest.param(
+            lambda: (
+                DigitalBraid(["x", "x"], ["x", "x"], BraidWord(2, (1, 1))),
+                DigitalBraid(("x", "x"), ("x", "x"), BraidWord(2, (1, 1))),
+            ),
+            id="digital-braid",
+        ),
+        pytest.param(
+            lambda: (_list_forest_element(), elem(_T2, [1], (), [1])), id="element"
+        ),
+        pytest.param(
+            lambda: (_list_forest_element().is_identity(), True),
+            id="element-is-identity",
+        ),
+        pytest.param(
+            lambda: (GroupContext(_T2.drs, ["x"], Flavor.BRAIDED), _T2), id="context"
+        ),
+        pytest.param(
+            lambda: (
+                identity_element(GroupContext(_T2.drs, ["x"], Flavor.BRAIDED)),
+                identity_element(_T2),
+            ),
+            id="context-identity",
+        ),
+        pytest.param(
+            lambda: (PLMap([[0, 0], [1, 1]]), PLMap(((0, 0), (1, 1)))), id="plmap"
+        ),
+    ],
+)
+def test_public_constructors_store_tuples(make):
+    # a public constructor stores the sequences it is handed as tuples, so
+    # a value built from lists equals, hashes and combines like one built
+    # from tuples
+    got, want = make()
+    assert got == want
+    assert hash(got) == hash(want)
+
+
 def test_psi_requires_pure(t2_braided):
     with pytest.raises(FractionError):
         identity_element(t2_braided).psi_project()
@@ -367,10 +448,15 @@ def test_random_element_deterministic(t2_braided):
         ("houghton:3", "permutation", 5,
          "frac T=[1 3 5 5] B=[-2 -1 -3 -2 4 3 3 4 -5 2 3 1 2 5 -6] S=[1 3 5 5]"),
         ("houghton:3", "plain", 11, "frac T=[1 1 4 4 7 7] B=[] S=[1 1 4 4 7 7]"),
+        ("edge", "braided", 34, "frac T=[1 1 1 4] B=[3 4] S=[1 1 3 3]"),
+        ("edge", "pure", 34, "frac T=[1 1 1 3] B=[4 3 3 4] S=[1 1 3 3]"),
     ],
 )
 def test_random_element_pinned(system, flavor, seed, literal):
-    drs = thompson_drs(2) if system == "thompson:2" else houghton_drs(3)
+    if system == "edge":  # both letters rewrite to a b
+        drs = edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",))
+    else:
+        drs = thompson_drs(2) if system == "thompson:2" else houghton_drs(3)
     context = GroupContext(drs, drs.base, Flavor(flavor))
     e = random_element(context, 4, seed, max_braid_letters=6)
     assert format_element(e) == literal
@@ -623,3 +709,26 @@ def test_operation_results_pass_public_constructors(
             results.append(handle_reduce((a.invert() * b).g.word))
     for value in results:
         assert _rebuilt(value) == value
+
+
+@pytest.mark.parametrize("flavor", [f.value for f in Flavor])
+def test_draws_pass_the_public_constructors(thompson2, houghton3, flavor):
+    # the draws build their values without validating them; each must
+    # still be a value the public constructors accept
+    shared = edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",))
+    for drs in (thompson2, houghton3, shared):
+        context = make_context(drs, flavor)
+        for seed in range(50):
+            e = random_element(context, 6, seed, 12)
+            assert _rebuilt(e) == e
+            rng = random.Random(seed)
+            t, s = _forest_pair(context, 6, rng)
+            assert t.leaves() == s.leaves()
+            pair = _element(context, t, DigitalBraid.identity(t.leaves()), s)
+            assert _rebuilt(pair) == pair
+            if context.flavor is Flavor.PLAIN:
+                continue  # the plain flavor draws no braid
+            steps, g = _braid_draw(context, 6, 12, rng)
+            f = forest_from_steps(drs, context.base, steps)
+            piece = _element(context, f, g, f)
+            assert _rebuilt(piece) == piece

@@ -54,7 +54,7 @@ def test_vacuous_realization_trials_are_counted(capsys):
 )
 def test_realization_suite_compares_distinct_pairs(request, system, least, most):
     # the suite draws its pair as the plain flavor's random elements do
-    # (`fraction._plain_piece`): at seed 0 it compares 49, 145 and 0 pairs
+    # (`fraction._forest_pair`): at seed 0 it compares 49, 145 and 0 pairs
     if system == "edge":
         drs = edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",))
     else:

@@ -220,6 +220,16 @@ def test_realization_refuses_forests_of_two_systems():
             PLMapError,
             "self-maps only",
         ),
+        (
+            lambda: PLMap(((0, 0), (0.5, 0.25), (1, 1))),
+            PLMapError,
+            "coordinate 0.5 is not an int or a Fraction",
+        ),
+        (
+            lambda: PLMap(((0, 0), (1.0, 1.0))),
+            PLMapError,
+            "coordinate 1.0 is not an int or a Fraction",
+        ),
     ],
 )
 def test_trust_boundary_errors(call, error, fragment):
