@@ -11,7 +11,10 @@ strand ending at a bottom position whose tree has k leaves is replaced by k
 parallel strands, each crossing becoming the block crossing of the two
 cables.  The cabling loop lives in `_cable`, which takes the trees at one
 end of the braid, reads the cable widths off their `leaf_count` and
-carries the trees along the strands to the other end in the same walk;
+carries the trees along the strands to the other end in the same walk; a
+crossing of two single strands gives one letter, and a block with one
+single strand (`_block_letters`) is a `range`, which extends the output
+without a per-letter loop in Python;
 `act_bottom` and the product of fractions walk up from the bottom, and
 neither computes the strand permutation.  An empty word comes back at
 once with the trees it was given, so the braid on the empty word (one
@@ -26,7 +29,12 @@ The lamination action tracks integral (Dynnikov) coordinates of a curve
 system punctured by the strands, in one pass over the word with no budget:
 a braid is trivial iff it fixes the initial coordinates, and the first
 coordinate that moves gives the Dehornoy sign (`lamination_sign`).  It
-decides the braided sign and identity for the fraction groups.  Handle
+decides the braided sign and identity for the fraction groups.  Both
+`lamination_sign` and `lamination_trivial` first try `_definite_sign`: a
+sigma-definite word (the least index occurs with one sign only, or the
+word is empty) has the sign of that index by Dehornoy's Property A, read
+off the word with no pass at all; only the other words pay the
+lamination pass.  Handle
 reduction repeatedly removes the leftmost-closing handle (a subword
 sigma_i^e u sigma_i^{-e} where u avoids generators i and i-1) and
 terminates in a word where the least occurring index shows a single sign;
@@ -42,9 +50,10 @@ them for `handle_reduce`, those made before the sign is settled for
 `dehornoy_sign`.
 
 Validation happens at the trust boundary: ``BraidWord(...)`` checks its
-generator indices, which must be ints, and ``DigitalBraid(...)`` its labels
-against the strand permutation, and `BraidWord.parse` goes through the
-former; both store their sequence fields as tuples.  Inverses,
+strand count and generator indices, which must be ints and not bools, and
+``DigitalBraid(...)`` its labels against the strand permutation, and
+`BraidWord.parse` goes through the former; both store their sequence
+fields as tuples.  Inverses,
 products, `handle_reduce` results, composites and both outputs of
 `act_bottom` are derived from values already checked and are built without
 re-validation, by `_braid_word` and `_digital_braid` (and `drs._forest`),
@@ -95,10 +104,12 @@ class BraidWord:
 
     def __post_init__(self) -> None:
         _set_field(self, "letters", tuple(self.letters))
+        if not isinstance(self.strands, int) or isinstance(self.strands, bool):
+            raise BraidError(f"strand count {self.strands!r} is not an int")
         if self.strands < 1:
             raise BraidError(f"strand count must be >= 1, got {self.strands}")
         for d in self.letters:
-            if not isinstance(d, int):
+            if not isinstance(d, int) or isinstance(d, bool):
                 raise BraidError(f"generator index {d!r} is not an int")
             if d == 0 or not 1 <= abs(d) <= self.strands - 1:
                 raise BraidError(
@@ -304,12 +315,47 @@ def lamination_apply(w: BraidWord) -> tuple[int, ...]:
     return tuple(c)
 
 
+def _definite_sign(letters: Sequence[int]) -> Sign | None:
+    """The Dehornoy sign of a sigma-definite word, None for any other.
+
+    ZERO for the empty word.  Otherwise let m be the least index present:
+    if every letter of index m is positive, the word is sigma-positive and
+    the braid is POSITIVE; if every one is negative, NEGATIVE; if both
+    signs occur, None.  A sigma-positive word has a letter sigma_m, no
+    sigma_m^-1 and no index below m, and by Dehornoy's Property A it never
+    represents the trivial braid (P. Dehornoy, "Braid groups and left
+    distributive operations", Trans. AMS 345 (1994); *Ordering Braids*,
+    AMS 2008), so its braid is positive in the order that
+    `lamination_sign` and `dehornoy_sign` decide, with their convention.
+    The word need not be freely reduced: a cancellation needs both signs
+    of its index, so free reduction removes no letter of index m when its
+    inverse is absent and leaves a word with the same least index and
+    sign.
+    """
+    if not letters:
+        return Sign.ZERO
+    m = min(map(abs, letters))
+    if -m not in letters:
+        return Sign.POSITIVE
+    if m not in letters:
+        return Sign.NEGATIVE
+    return None
+
+
 def lamination_trivial(w: BraidWord) -> bool:
+    """Whether w is the trivial braid: a sigma-definite word decides at
+    once (`_definite_sign`: trivial iff empty), any other by whether the
+    lamination action fixes the initial coordinates."""
+    s = _definite_sign(w.letters)
+    if s is not None:
+        return s is Sign.ZERO
     return lamination_apply(w) == lamination_initial(w.strands)
 
 
 def lamination_sign(w: BraidWord) -> Sign:
-    """Dehornoy sign of w read off its Dynnikov coordinates in one pass.
+    """Dehornoy sign of w: read off the word itself when it is
+    sigma-definite (`_definite_sign`), otherwise off its Dynnikov
+    coordinates in one pass.
 
     Dynnikov's criterion (I. Dynnikov, "On a Yang-Baxter map and the
     Dehornoy ordering", Russ. Math. Surveys 57 (2002); P. Dehornoy,
@@ -327,6 +373,9 @@ def lamination_sign(w: BraidWord) -> Sign:
     positively) is the one `dehornoy_sign` decides, and the two are tested
     against each other.  No budget: the pass always terminates.
     """
+    s = _definite_sign(w.letters)
+    if s is not None:
+        return s
     for x, x0 in zip(lamination_apply(w), lamination_initial(w.strands)):
         if x != x0:
             return Sign.POSITIVE if x > x0 else Sign.NEGATIVE
@@ -380,9 +429,17 @@ class DigitalBraid:
 _digital_braid = _constructor(DigitalBraid)
 
 
-def _block_letters(offset: int, p: int, q: int, sign: int) -> list[int]:
+def _block_letters(offset: int, p: int, q: int, sign: int) -> Sequence[int]:
     """Crossing of a width-p cable over a width-q cable occupying positions
-    offset+1 .. offset+p+q."""
+    offset+1 .. offset+p+q; a range when one cable is a single strand."""
+    if p == 1:
+        if sign > 0:
+            return range(offset + 1, offset + q + 1)
+        return range(-offset - 1, -offset - q - 1, -1)
+    if q == 1:
+        if sign > 0:
+            return range(offset + p, offset, -1)
+        return range(-offset - p, -offset)
     if sign > 0:
         return [offset + p - i + j for i in range(1, p + 1) for j in range(1, q + 1)]
     positive = [offset + q - i + j for i in range(1, q + 1) for j in range(1, p + 1)]

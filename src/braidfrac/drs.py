@@ -66,8 +66,10 @@ takes part in ``==``, ``hash`` or ``repr``.
 Validation happens at the trust boundary: the public constructors
 (``ExpansionForest(...)`` here, ``BraidWord``, ``DigitalBraid`` and
 ``FractionElement`` further up) and the parsers, which all go through them,
-check every value handed in, and store each sequence field as a tuple, so
-a value built from lists equals and hashes like one built from tuples.
+check every value handed in (a forest's trees must be `ExpansionTree`
+objects and a system's rules `RewriteRule` objects), and store each
+sequence field as a tuple, so a value built from lists equals and hashes
+like one built from tuples.
 `forest_from_steps` checks the word and each
 step as it applies it, so every tree it freezes follows the rules.  The
 library's own operations (`graft`, `complement`, `forest_join`, their
@@ -206,6 +208,8 @@ class DigitRewritingSystem:
             seen.add(a)
         rule_map: dict[str, RewriteRule] = {}
         for r in self.rules:
+            if not isinstance(r, RewriteRule):
+                raise DrsError(f"rule {r!r} is not a RewriteRule")
             if r.lhs not in seen:
                 raise DrsError(f"rule for unknown letter {r.lhs!r}")
             if r.lhs in rule_map:
@@ -298,6 +302,9 @@ class ExpansionForest:
 
     def __post_init__(self) -> None:
         _set_field(self, "trees", tuple(self.trees))
+        for t in self.trees:
+            if not isinstance(t, ExpansionTree):
+                raise DrsError(f"tree {t!r} is not an ExpansionTree")
         self.drs.check_word(self.source)
         rules = self.drs.rule_map
         for _, node in _nodes(self.trees):

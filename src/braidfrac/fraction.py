@@ -30,12 +30,14 @@ The left order on the Braided flavor is braid-first: an element is positive
 when its braid factor is Dehornoy-positive, with ties (trivial braid factor)
 broken by the first-deviation sign of the PL realization of the forest
 pair.  Triviality of the braid factor does not depend on the chosen
-representative, so the case split is well defined.  One pass of the
-lamination action (`braids.lamination_sign`, Dynnikov's criterion) decides
-both the sign and the tie; it always terminates, so the step `budget` that
-bounds handle reduction is not used here.  The PL sign, here and below, is
-read straight off the two forests by `plmaps.realization_sign`; no map is
-built.
+representative, so the case split is well defined.
+`braids.lamination_sign` decides both the sign and the tie: a
+sigma-definite braid word (its least index occurs with one sign only, or
+it is empty) has its sign read off the word by Dehornoy's Property A, any
+other takes one pass of the lamination action (Dynnikov's criterion).
+Both always terminate, so the step `budget` that bounds handle reduction
+is not used here.  The PL sign, here and below, is read straight off the
+two forests by `plmaps.realization_sign`; no map is built.
 
 The bi-order on the PureBraided flavor is quotient-first: the group splits
 as a semidirect product of the kernel of the braid-forgetting projection by
@@ -47,8 +49,9 @@ realization of its forest pair first, and by the Magnus sign of its braid
 factor when the forests agree; that sign is bounded by `degree_cap` alone.
 
 The identity test needs no canonical form in any flavor: structurally
-equal forests plus a trivial braid, decided by the lamination action,
-which always terminates and so takes no budget.  Handle reduction
+equal forests plus a trivial braid, decided by `braids.lamination_trivial`
+(the word when it is sigma-definite, else the lamination action), which
+always terminates and so takes no budget.  Handle reduction
 (`braids.dehornoy_sign`, bounded by its step budget) stays off the order
 path as the independent oracle the tests and suites play against it.
 
@@ -205,7 +208,8 @@ class FractionElement:
         """Equal forests (equal trees are one object) and a trivial braid
         factor.
 
-        Braid triviality is decided by the lamination action, which needs
+        Braid triviality is decided by `lamination_trivial` (Property A on
+        a sigma-definite word, else the lamination action), which needs
         no step budget; `budget` is accepted for symmetry with `sign` and
         `compare`, and ignored.
         """
@@ -224,12 +228,13 @@ class FractionElement:
     ) -> Sign:
         """Sign of the element in its flavor's order.
 
-        Braided: the Dehornoy sign of the braid factor, read off its
-        Dynnikov coordinates in one pass (`lamination_sign`), and the PL
-        sign of the forest pair when the braid is trivial.  Pure: the PL
-        sign first, then the Magnus sign of the braid factor, bounded by
-        `degree_cap` (DegreeCapExceeded).  Plain: the PL sign.  The PL sign
-        is `realization_sign(T, S)`, read off the two forests without
+        Braided: the Dehornoy sign of the braid factor (`lamination_sign`:
+        read off the word when it is sigma-definite, else off its Dynnikov
+        coordinates in one pass), and the PL sign of the forest pair when
+        the braid is trivial.  Pure: the PL sign first, then the Magnus
+        sign of the braid factor, bounded by `degree_cap`
+        (DegreeCapExceeded).  Plain: the PL sign.  The PL sign is
+        `realization_sign(T, S)`, read off the two forests without
         building the PL map.  Its check of equal sources and leaf words is
         skipped: both forests have the base as source, and the PL sign is
         taken only when the braid is pure (pure flavor) or trivial (braided

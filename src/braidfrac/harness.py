@@ -177,8 +177,10 @@ def _suite_cone(context, rng, budget, letters, degree_cap):
     if e.invert().sign(degree_cap=degree_cap) is not -s:
         return "sign not antisymmetric under inversion:\n" + _describe(e)
     if context.flavor is Flavor.BRAIDED:
-        # the order reads the braid sign off the lamination, and so does
-        # the identity test; handle reduction is the independent check
+        # the order and the identity test read the braid sign off the
+        # lamination, or off a sigma-definite word directly (Property A,
+        # which handle reduction's early stop also reads); handle reduction
+        # is the independent check, and it bites on the other words
         for x in (u, v, uv, e):
             if lamination_sign(x.g.word) is not dehornoy_sign(x.g.word):
                 return (

@@ -19,6 +19,7 @@ from braidfrac.braids import (
     StepBudgetExceeded,
     _block_letters,
     _cable,
+    _definite_sign,
     act_bottom,
     dehornoy_sign,
     free_reduce,
@@ -65,6 +66,9 @@ def test_braid_word_validation():
             "braid has 3 strands, expected 2",
         ),
         (lambda: BraidWord(2, (1.0,)), BraidError, "generator index 1.0 is not an int"),
+        (lambda: BraidWord(3, (True,)), BraidError, "generator index True is not an int"),
+        (lambda: BraidWord(2.0, (1,)), BraidError, "strand count 2.0 is not an int"),
+        (lambda: BraidWord(True, ()), BraidError, "strand count True is not an int"),
     ],
 )
 def test_trust_boundary_errors(call, error, fragment):
@@ -389,13 +393,31 @@ def _sign_corpus():
             yield "compare", (a.invert() * b).g.word
 
 
-def test_lamination_sign_matches_handle_reduction():
-    """Dynnikov's criterion agrees with handle reduction on every word."""
+@pytest.fixture(scope="module")
+def sign_corpus():
+    """`_sign_corpus()` built once for the tests that walk all of it."""
+    return list(_sign_corpus())
+
+
+def _dynnikov_sign(w: BraidWord) -> Sign:
+    """Dynnikov's criterion with no shortcut: the first coordinate of the
+    lamination action that differs from the initial one, on every word."""
+    for x, x0 in zip(lamination_apply(w), lamination_initial(w.strands)):
+        if x != x0:
+            return Sign.POSITIVE if x > x0 else Sign.NEGATIVE
+    return Sign.ZERO
+
+
+def test_lamination_sign_matches_handle_reduction(sign_corpus):
+    """Dynnikov's criterion agrees with handle reduction on every word, and
+    `lamination_sign` with both.  Handle reduction is played against the
+    full lamination pass, since on a sigma-definite word `lamination_sign`
+    and `dehornoy_sign` both read Property A."""
     counts: dict[tuple[str, Sign], int] = {}
     disagreements = []
-    for kind, w in _sign_corpus():
-        s = lamination_sign(w)
-        if s is not dehornoy_sign(w):
+    for kind, w in sign_corpus:
+        s = _dynnikov_sign(w)
+        if s is not dehornoy_sign(w) or s is not lamination_sign(w):
             disagreements.append((kind, w))
         counts[kind, s] = counts.get((kind, s), 0) + 1
     assert not disagreements, disagreements[:3]
@@ -404,6 +426,36 @@ def test_lamination_sign_matches_handle_reduction():
     assert not any(counts.get(("trivial", s)) for s in (Sign.POSITIVE, Sign.NEGATIVE))
     for kind in ("random", "commutator", "conjugate", "cabled", "compare"):
         assert counts[kind, Sign.POSITIVE] and counts[kind, Sign.NEGATIVE], kind
+
+
+def test_definite_sign_matches_lamination(sign_corpus):
+    """Property A: every word the prefilter decides, freely reduced or not,
+    has the sign of the full lamination pass, and `lamination_trivial`
+    agrees with the lamination action on every word."""
+    unreduced = [
+        BraidWord(3, (1, 2, -2)),
+        BraidWord(3, (2, -2, -1)),
+        BraidWord(4, (3, 2, -3, 3, 2, 3, -3)),
+        BraidWord(4, (-2, 3, -3, -2, 3, -3, -2)),
+        BraidWord(3, (2, -2)),
+        BraidWord(3, (1, -1, 2)),
+    ]
+    counts: dict[tuple[bool, Sign], int] = {}
+    for w in [w for _, w in sign_corpus] + unreduced:
+        full = _dynnikov_sign(w)
+        s = _definite_sign(w.letters)
+        assert s is None or s is full, w
+        fixed = lamination_apply(w) == lamination_initial(w.strands)
+        assert lamination_trivial(w) == fixed, w
+        counts[s is not None, full] = counts.get((s is not None, full), 0) + 1
+    assert [_definite_sign(w.letters) for w in unreduced] == [
+        Sign.POSITIVE, Sign.NEGATIVE, Sign.POSITIVE, Sign.NEGATIVE, None, None
+    ]
+    assert [_dynnikov_sign(w) for w in unreduced[4:]] == [Sign.ZERO, Sign.POSITIVE]
+    for definite in (True, False):
+        for sign in (Sign.POSITIVE, Sign.NEGATIVE):
+            assert counts.get((definite, sign)), (definite, sign)
+    assert counts[True, Sign.ZERO] and counts[False, Sign.ZERO]
 
 
 def test_lamination_sign_named_values():
@@ -450,6 +502,24 @@ def test_lamination_apply_matches_reference(thompson2):
         assert lamination_apply(w) == _reference_lamination_apply(w)
 
 
+def _nested_block_letters(offset: int, p: int, q: int, sign: int) -> list[int]:
+    """The crossing of a width-p cable over a width-q cable at positions
+    offset+1 .. offset+p+q, one letter per pair of crossing strands."""
+    if sign > 0:
+        return [offset + p - i + j for i in range(1, p + 1) for j in range(1, q + 1)]
+    positive = [offset + q - i + j for i in range(1, q + 1) for j in range(1, p + 1)]
+    return [-x for x in reversed(positive)]
+
+
+def test_block_letters_match_nested_formula():
+    for offset in range(4):
+        for p in range(1, 6):
+            for q in range(1, 6):
+                for sign in (1, -1):
+                    got = list(_block_letters(offset, p, q, sign))
+                    assert got == _nested_block_letters(offset, p, q, sign)
+
+
 def _reference_act_bottom(g: DigitalBraid, b: ExpansionForest):
     """Cabling that sums the cable widths in front of each crossing afresh."""
     n = len(g.top)
@@ -464,7 +534,7 @@ def _reference_act_bottom(g: DigitalBraid, b: ExpansionForest):
         k = abs(d)
         u, v = arr[k - 1], arr[k]
         offset = sum(widths[s] for s in arr[: k - 1])
-        letters.extend(_block_letters(offset, widths[u], widths[v], d))
+        letters.extend(_nested_block_letters(offset, widths[u], widths[v], d))
         arr[k - 1], arr[k] = v, u
     word = BraidWord(max(sum(widths), 1), free_reduce(tuple(letters)))
     return bup, DigitalBraid(bup.leaves(), b.leaves(), word)

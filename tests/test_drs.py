@@ -118,6 +118,16 @@ _X2 = RewriteRule("x", ("x", "x"))
         (lambda: DigitRewritingSystem(("1x",), ()), DrsError, "invalid letter name"),
         (lambda: DigitRewritingSystem(("x", "x"), ()), DrsError, "duplicate letter"),
         (
+            lambda: DigitRewritingSystem(("x",), (("x", ("x", "x")),)),
+            DrsError,
+            "is not a RewriteRule",
+        ),
+        (
+            lambda: ExpansionForest(thompson_drs(2), ("x",)),
+            DrsError,
+            "tree 'x' is not an ExpansionTree",
+        ),
+        (
             lambda: DigitRewritingSystem(("y",), (_X2,)),
             DrsError,
             "rule for unknown letter 'x'",
