@@ -28,13 +28,14 @@ Two independent decision procedures for the braid word problem live here.
 The lamination action tracks integral (Dynnikov) coordinates of a curve
 system punctured by the strands, in one pass over the word with no budget:
 a braid is trivial iff it fixes the initial coordinates, and the first
-coordinate that moves gives the Dehornoy sign (`lamination_sign`).  It
-decides the braided sign and identity for the fraction groups.  Both
-`lamination_sign` and `lamination_trivial` first try `_definite_sign`: a
-sigma-definite word (the least index occurs with one sign only, or the
-word is empty) has the sign of that index by Dehornoy's Property A, read
-off the word with no pass at all; only the other words pay the
-lamination pass.  Handle
+coordinate that moves gives the Dehornoy sign.  One function reads that
+sign off the coordinates (`_dynnikov_sign`), and `lamination_sign` calls
+it only after `_definite_sign`: a sigma-definite word (the least index
+occurs with one sign only, or the word is empty) has the sign of that
+index by Dehornoy's Property A, read off the word with no pass at all;
+only the other words pay the lamination pass.  `lamination_trivial` is
+`lamination_sign` being ZERO.  They decide the braided sign and identity
+for the fraction groups.  Handle
 reduction repeatedly removes the leftmost-closing handle (a subword
 sigma_i^e u sigma_i^{-e} where u avoids generators i and i-1) and
 terminates in a word where the least occurring index shows a single sign;
@@ -342,16 +343,6 @@ def _definite_sign(letters: Sequence[int]) -> Sign | None:
     return None
 
 
-def lamination_trivial(w: BraidWord) -> bool:
-    """Whether w is the trivial braid: a sigma-definite word decides at
-    once (`_definite_sign`: trivial iff empty), any other by whether the
-    lamination action fixes the initial coordinates."""
-    s = _definite_sign(w.letters)
-    if s is not None:
-        return s is Sign.ZERO
-    return lamination_apply(w) == lamination_initial(w.strands)
-
-
 def lamination_sign(w: BraidWord) -> Sign:
     """Dehornoy sign of w: read off the word itself when it is
     sigma-definite (`_definite_sign`), otherwise off its Dynnikov
@@ -374,12 +365,23 @@ def lamination_sign(w: BraidWord) -> Sign:
     against each other.  No budget: the pass always terminates.
     """
     s = _definite_sign(w.letters)
-    if s is not None:
-        return s
+    return _dynnikov_sign(w) if s is None else s
+
+
+def _dynnikov_sign(w: BraidWord) -> Sign:
+    """The sign of Dynnikov's criterion (`lamination_sign`) on any word,
+    sigma-definite or not: the first coordinate of the lamination action
+    that differs from `lamination_initial`, larger meaning positive."""
     for x, x0 in zip(lamination_apply(w), lamination_initial(w.strands)):
         if x != x0:
             return Sign.POSITIVE if x > x0 else Sign.NEGATIVE
     return Sign.ZERO
+
+
+def lamination_trivial(w: BraidWord) -> bool:
+    """Whether w is the trivial braid: `lamination_sign` is ZERO, so the
+    sigma-definite check runs first (trivial iff the word is empty)."""
+    return lamination_sign(w) is Sign.ZERO
 
 
 # --- digital braids ---------------------------------------------------------

@@ -66,10 +66,12 @@ takes part in ``==``, ``hash`` or ``repr``.
 Validation happens at the trust boundary: the public constructors
 (``ExpansionForest(...)`` here, ``BraidWord``, ``DigitalBraid`` and
 ``FractionElement`` further up) and the parsers, which all go through them,
-check every value handed in (a forest's trees must be `ExpansionTree`
-objects and a system's rules `RewriteRule` objects), and store each
-sequence field as a tuple, so a value built from lists equals and hashes
-like one built from tuples.
+check every value handed in (a forest's trees and a tree's children must
+be `ExpansionTree` objects and a system's rules `RewriteRule` objects),
+and store each sequence field as a tuple, so a value built from lists
+equals and hashes like one built from tuples; a tree's children are
+checked on a table miss only, as the sum of their `leaf_count`, since a
+table hit holds checked children already.
 `forest_from_steps` checks the word and each
 step as it applies it, so every tree it freezes follows the rules.  The
 library's own operations (`graft`, `complement`, `forest_join`, their
@@ -249,6 +251,8 @@ class ExpansionTree(_Weakrefable):
     def __new__(
         cls, label: str, children: tuple["ExpansionTree", ...] = ()
     ) -> "ExpansionTree":
+        if children.__class__ is not tuple:
+            children = tuple(children)
         key = (label, children)
         ref = _tree_refs.get(key)
         if ref is not None:
@@ -256,8 +260,11 @@ class ExpansionTree(_Weakrefable):
             if tree is not None:
                 return tree
         n = 0  # a loop beats `sum` on these short rows
-        for c in children:
-            n += c.leaf_count
+        try:
+            for c in children:
+                n += c.leaf_count
+        except (AttributeError, TypeError):
+            raise DrsError(f"child {c!r} is not an ExpansionTree") from None
         tree = _new_tree(label, children, n or 1)  # 1 for a leaf
         _tree_refs[key] = KeyedRef(tree, _drop_tree_ref, key)
         return tree

@@ -49,9 +49,9 @@ realization of its forest pair first, and by the Magnus sign of its braid
 factor when the forests agree; that sign is bounded by `degree_cap` alone.
 
 The identity test needs no canonical form in any flavor: structurally
-equal forests plus a trivial braid, decided by `braids.lamination_trivial`
-(the word when it is sigma-definite, else the lamination action), which
-always terminates and so takes no budget.  Handle reduction
+equal forests plus a trivial braid, that is, `braids.lamination_sign`
+ZERO (the word when it is sigma-definite, else the lamination action),
+which always terminates and so takes no budget.  Handle reduction
 (`braids.dehornoy_sign`, bounded by its step budget) stays off the order
 path as the independent oracle the tests and suites play against it.
 
@@ -84,8 +84,8 @@ from .braids import (
     _digital_braid,
     delete_strand,
     free_reduce,
+    lamination_apply,
     lamination_sign,
-    lamination_trivial,
 )
 from .drs import (
     DigitRewritingSystem,
@@ -208,16 +208,16 @@ class FractionElement:
         """Equal forests (equal trees are one object) and a trivial braid
         factor.
 
-        Braid triviality is decided by `lamination_trivial` (Property A on
-        a sigma-definite word, else the lamination action), which needs
-        no step budget; `budget` is accepted for symmetry with `sign` and
+        Braid triviality is `lamination_sign` being ZERO (Property A on a
+        sigma-definite word, else the lamination action), which needs no
+        step budget; `budget` is accepted for symmetry with `sign` and
         `compare`, and ignored.
         """
         if self.T != self.S:
             return False
         if self.context.flavor is Flavor.PERMUTATION:
             return self.g.is_pure()
-        return lamination_trivial(self.g.word)
+        return lamination_sign(self.g.word) is Sign.ZERO
 
     # -- order --
 
@@ -318,12 +318,17 @@ class FractionElement:
         - S has a node equal to x with j leaves left of it, where strand
           i+1 of g ends at bottom position j+1 (equal trees are one object,
           so S's nodes are looked up by position and identity);
-        - g is the cable of g', the braid g with strands i+2..i+w deleted,
-          along the leaves of T with x in place of the leaves under it,
-          so with widths 1 except w at position i+1; the lamination action
-          decides this exactly on g times the inverse of the cable; the
-          permutation flavor keeps only the strand permutation, so there
-          it suffices that this product permutes no strand.
+        - g is the cable c of g', the braid g with strands i+2..i+w
+          deleted, along the leaves of T with x in place of the leaves
+          under it, so with widths 1 except w at position i+1.  The test
+          compares an invariant of c with the same invariant of g,
+          computed once.  The Dynnikov coordinates of the standard
+          lamination after the braid (`lamination_apply`) are a complete
+          invariant on n strands: the initial coordinates times g equal
+          them times c exactly when g c^-1 fixes them, that is, exactly
+          when g c^-1 is trivial.  The permutation flavor keeps only the
+          strand permutation, and the permutations of g and c are equal
+          exactly when g c^-1 permutes no strand.
         Both nodes then become leaves labelled a and g' is the braid.  The
         label matters when two letters have the same right side, as in the
         edge shift a: a b, b: a b.  A cable that no crossing touches always
@@ -357,6 +362,7 @@ class FractionElement:
         n = g.word.strands
         ends = g.word.permutation()
         permutation = self.context.flavor is Flavor.PERMUTATION
+        want = ends if permutation else lamination_apply(g.word)
         s_nodes = set(_nodes(self.S.trees))
         t_leaves = _leaf_nodes(self.T.trees)
         t_cuts: list[tuple[int, int]] = []
@@ -371,8 +377,8 @@ class FractionElement:
                 continue  # no node of S equal to x there
             trees = t_leaves[:i] + [x] + t_leaves[i + w :]
             cable = _cable(delete_strand(g.word.letters, n, i + 2, i + w), trees)[0]
-            rest = g.word * _braid_word(n, cable).inverse()
-            if rest.is_pure() if permutation else lamination_trivial(rest):
+            c = _braid_word(n, cable)
+            if (c.permutation() if permutation else lamination_apply(c)) == want:
                 t_cuts.append((i, w))
                 s_cuts.add((j, w))
                 end = i + w

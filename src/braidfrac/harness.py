@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from .braids import (
     BraidWord,
     DigitalBraid,
+    _dynnikov_sign,
     act_bottom,
     dehornoy_sign,
     lamination_sign,
@@ -177,12 +178,14 @@ def _suite_cone(context, rng, budget, letters, degree_cap):
     if e.invert().sign(degree_cap=degree_cap) is not -s:
         return "sign not antisymmetric under inversion:\n" + _describe(e)
     if context.flavor is Flavor.BRAIDED:
-        # the order and the identity test read the braid sign off the
-        # lamination, or off a sigma-definite word directly (Property A,
-        # which handle reduction's early stop also reads); handle reduction
-        # is the independent check, and it bites on the other words
+        # the order and the identity test read the braid sign off a
+        # sigma-definite word (Property A, which handle reduction's early
+        # stop also reads), or else off the lamination; handle reduction
+        # and the lamination pass on every word are the independent
+        # checks, so a faulty Property A or lamination shows on any word
         for x in (u, v, uv, e):
-            if lamination_sign(x.g.word) is not dehornoy_sign(x.g.word):
+            w = x.g.word
+            if not lamination_sign(w) is dehornoy_sign(w) is _dynnikov_sign(w):
                 return (
                     "lamination sign disagrees with handle reduction:\n"
                     + _describe(x)

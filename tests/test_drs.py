@@ -128,6 +128,18 @@ _X2 = RewriteRule("x", ("x", "x"))
             "tree 'x' is not an ExpansionTree",
         ),
         (
+            lambda: ExpansionTree("x", ("y",)),
+            DrsError,
+            "child 'y' is not an ExpansionTree",
+        ),
+        (
+            lambda: ExpansionForest(
+                thompson_drs(2), (ExpansionTree("x", (ExpansionTree("x"), "x")),)
+            ),
+            DrsError,
+            "child 'x' is not an ExpansionTree",
+        ),
+        (
             lambda: DigitRewritingSystem(("y",), (_X2,)),
             DrsError,
             "rule for unknown letter 'x'",

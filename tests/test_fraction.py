@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 from dataclasses import FrozenInstanceError, is_dataclass
 
 import pytest
@@ -262,6 +263,12 @@ def _list_forest_element():
         pytest.param(
             lambda: (ExpansionForest(_T2.drs, list(_XX.trees)), _XX), id="forest"
         ),
+        # equal trees are one object, so a tree made from a list of
+        # children is the tree made from their tuple
+        pytest.param(
+            lambda: (ExpansionTree("x", list(_XX.trees[0].children)), _XX.trees[0]),
+            id="tree",
+        ),
         pytest.param(lambda: (BraidWord(2, [1, -1]), BraidWord(2, (1, -1))), id="word"),
         pytest.param(
             lambda: (BraidWord(2, [1, -1]) * BraidWord(2, (1,)), BraidWord(2, (1,))),
@@ -408,6 +415,41 @@ def test_normalize_sweep(thompson2, houghton3, flavor):
             assert n.T.leaf_count() <= e.T.leaf_count()
             shrunk += n.T.leaf_count() < e.T.leaf_count()
     assert shrunk
+
+
+# frozen outputs of `normalize` on the corpus of `test_normalize_outputs`:
+# a few by position, and the sha256 of all of them, one per line
+_NORMAL_FORMS = {
+    14: "frac T=[1] B=[-1 -1] S=[1]",
+    24: "frac T=[1 1] B=[] S=[1 2]",
+    39: "frac T=[1] B=[-1 -1] S=[1]",
+    64: "frac T=[] B=[] S=[]",
+    115: "frac T=[1 3 3 6 6] B=[-5 -5 -2 -1 -3 -2 6 5 6 -2 -1 -3 -2 -4 -3 2 3 -4]"
+    " S=[1 3 3 6 6]",
+    143: "frac T=[2 2] B=[1 1] S=[2 2]",
+    165: "frac T=[1 3 5 5] B=[-4 -4 -2 -1 5 4 5 -1 -2 -3 2 3] S=[1 3 5 5]",
+    240: "frac T=[1 1] B=[2 2 -1 -1] S=[1 1]",
+    265: "frac T=[] B=[] S=[]",
+}
+_NORMAL_FORMS_SHA256 = "bb3f28752b40b009e06854457be57427a9e7b01a16f1d35daf74673afaae3505"
+
+
+def test_normalize_outputs():
+    # (c a)^-1 (c b) in the four flavors on thompson:2, houghton:3 and an
+    # edge shift whose letters share a right side, 25 seeds each; the
+    # braided and permutation flavors draw the same elements, so items
+    # 14 and 64, 115 and 165 show what the permutation flavor cuts more
+    shared = edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",))
+    forms = []
+    for drs in (thompson_drs(2), houghton_drs(3), shared):
+        for flavor in Flavor:
+            ctx = GroupContext(drs, drs.base, flavor)
+            for seed in range(500, 525):
+                a, b, c = (random_element(ctx, 5, seed + k) for k in (0, 1000, 2000))
+                forms.append(format_element(((c * a).invert() * (c * b)).normalize()))
+    assert {i: forms[i] for i in _NORMAL_FORMS} == _NORMAL_FORMS
+    digest = hashlib.sha256("\n".join(forms).encode()).hexdigest()
+    assert digest == _NORMAL_FORMS_SHA256
 
 
 def test_parse_format_round_trip(t2_braided):

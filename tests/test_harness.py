@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from braidfrac import harness
-from braidfrac.braids import DigitalBraid, act_bottom
+from braidfrac import braids, harness
+from braidfrac.braids import DigitalBraid, act_bottom, lamination_initial
 from braidfrac.cli import main
 from braidfrac.families import edge_shift_drs
-from braidfrac.fraction import FractionElement
+from braidfrac.fraction import FractionElement, parse_element
 from braidfrac.harness import (
     SUITE_NAMES,
     HarnessError,
@@ -248,3 +248,21 @@ def test_every_suite_reports_failures(
     report = run_suite(suite, make_context(thompson2, flavor), 8, 1, budget=4)
     assert report.failures > 0 and not report.passed
     assert report.counterexamples[0].split(": ", 1)[1].startswith(words)
+
+
+def test_cone_checks_definite_words_against_the_lamination(monkeypatch, thompson2):
+    # a lamination pass that calls every braid trivial, on elements whose
+    # braids are all sigma-positive: the sign and handle reduction both
+    # read Property A there, so only the lamination pass run on every word
+    # shows the fault
+    ctx = make_context(thompson2, "braided")
+    x = parse_element(ctx, "frac T=[1] B=[1] S=[1]")
+    monkeypatch.setattr(
+        braids, "lamination_apply", lambda w: lamination_initial(w.strands)
+    )
+    monkeypatch.setattr(harness, "_sample", lambda *args: x)
+    monkeypatch.setattr(harness, "_positive_element", lambda *args: x)
+    report = run_suite("cone", ctx, 5, 0)
+    assert report.failures == 5
+    words = report.counterexamples[0].split(": ", 1)[1]
+    assert words.startswith("lamination sign disagrees with handle reduction")
