@@ -527,8 +527,10 @@ def act_bottom(
     over top position i is the tree under the bottom position its strand
     reaches) and gb is the cabled braid from leaves(bup) to leaves(b); one
     upward walk of `_cable` gives both the trees of bup and the letters of
-    gb.  The braid on the empty word needs no special case: its empty word
-    and empty forest come back equal to g and b.
+    gb.  When the trees come back in their order, bup's leaves are b's, and
+    one leaf walk gives both ends of gb.  The braid on the empty word needs
+    no special case: its empty word and empty forest come back equal to g
+    and b.
     """
     if b.source != g.bottom:
         raise SourceMismatchError(
@@ -536,8 +538,9 @@ def act_bottom(
         )
     letters, trees = _cable(g.word.letters, b.trees, True)
     bup = _forest(b.drs, tuple(trees))
-    leaves = bup.leaves()
+    bottom = b.leaves()
+    top = bottom if bup.trees == b.trees else bup.leaves()
     gb = _digital_braid(
-        leaves, b.leaves(), _braid_word(max(len(leaves), 1), free_reduce(letters))
+        top, bottom, _braid_word(max(len(top), 1), free_reduce(letters))
     )
     return bup, gb

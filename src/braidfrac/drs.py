@@ -61,7 +61,10 @@ derived data is a field computed once, at construction: a tree's
 `leaf_count` is the sum of its children's (1 for a leaf), set in its
 ``__new__`` when the tree is first made, and a system's `rule_map` is
 filled by the loop in its ``__post_init__`` that checks its rules.  Neither
-takes part in ``==``, ``hash`` or ``repr``.
+takes part in ``==``, ``hash`` or ``repr``.  The one leaf walk,
+`_leaf_nodes`, reads carets through `leaf_count`: a node whose
+`leaf_count` equals its number of children has only leaves below it, and
+the walk takes its children as they are.
 
 Validation happens at the trust boundary: the public constructors
 (``ExpansionForest(...)`` here, ``BraidWord``, ``DigitalBraid`` and
@@ -71,7 +74,9 @@ be `ExpansionTree` objects and a system's rules `RewriteRule` objects),
 and store each sequence field as a tuple, so a value built from lists
 equals and hashes like one built from tuples; a tree's children are
 checked on a table miss only, as the sum of their `leaf_count`, since a
-table hit holds checked children already.
+table hit holds checked children already, and a label or child that
+cannot be hashed fails the table lookup itself, which turns its
+`TypeError` into `DrsError`.
 `forest_from_steps` checks the word and each
 step as it applies it, so every tree it freezes follows the rules.  The
 library's own operations (`graft`, `complement`, `forest_join`, their
@@ -254,7 +259,13 @@ class ExpansionTree(_Weakrefable):
         if children.__class__ is not tuple:
             children = tuple(children)
         key = (label, children)
-        ref = _tree_refs.get(key)
+        try:
+            ref = _tree_refs.get(key)
+        except TypeError:  # an unhashable label or child
+            for c in children:
+                if not isinstance(c, ExpansionTree):
+                    raise DrsError(f"child {c!r} is not an ExpansionTree") from None
+            raise DrsError(f"label {label!r} is not hashable") from None
         if ref is not None:
             tree = ref()
             if tree is not None:
@@ -343,15 +354,22 @@ _forest = _constructor(ExpansionForest)
 
 
 def _leaf_nodes(trees: Sequence[ExpansionTree]) -> list[ExpansionTree]:
-    """The leaves of the trees `trees`, left to right, by a stack walk."""
+    """The leaves of the trees `trees`, left to right, by a stack walk.  A
+    caret, a node whose `leaf_count` equals its number of children, has
+    only leaves as children (every rule's right side has two letters or
+    more, so an internal node has at least two leaves), and the walk takes
+    them as they are, without pushing them."""
     out: list[ExpansionTree] = []
     stack = list(reversed(trees))
     while stack:
         t = stack.pop()
-        if t.children:
-            stack.extend(reversed(t.children))
-        else:
+        kids = t.children
+        if not kids:
             out.append(t)
+        elif t.leaf_count == len(kids):
+            out += kids
+        else:
+            stack.extend(reversed(kids))
     return out
 
 

@@ -15,7 +15,9 @@ letter for letter after free reduction, the composition of
 `forest_join`, `act_bottom`, `graft` and `compose`.  Its top and bottom
 are the leaves of the moved complement trees (`drs._leaf_labels`), or the
 braids' own ends when every moved tree is a leaf; neither grafted forest
-is walked again.
+is walked again.  When neither cabling moved a tree (every product in the
+pure and plain flavors), both ends are the leaves of the join, and one
+leaf walk, or none, gives them.
 Inversion swaps the forests and inverts the braid.  `normalize` runs the
 same relation backwards in one outermost-first walk of the nodes of T: it
 cuts each node, with its whole subtree, that S holds as an equal subtree
@@ -187,13 +189,22 @@ class FractionElement:
         # upward from B and other.g downward from A carries them to the
         # ends of the product's braid, labelled by their leaves, or by the
         # braids' own ends when every tree is a leaf, which `_cable` shows
-        # by returning a nonempty word as it is
+        # by returning a nonempty word as it is.  When neither cabling
+        # moved a tree, both ends are the leaves of the join
+        # graft(S, B) = graft(T', A), so one end gives both
         b, a = _complements(self.S.trees, other.T.trees)
         g, h = self.g.word.letters, other.g.word.letters
         left, bup = _cable(g, b, True)
         right, adown = _cable(h, a)
-        top = self.g.top if left is g and g else _leaf_labels(bup)
-        bottom = other.g.bottom if right is h and h else _leaf_labels(adown)
+        if bup == b and adown == a:
+            top = bottom = (
+                self.g.top if left is g and g
+                else other.g.bottom if right is h and h
+                else _leaf_labels(b)
+            )
+        else:
+            top = self.g.top if left is g and g else _leaf_labels(bup)
+            bottom = other.g.bottom if right is h and h else _leaf_labels(adown)
         braid = _digital_braid(
             top, bottom, _braid_word(len(top), free_reduce(left + right))
         )

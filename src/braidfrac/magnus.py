@@ -77,10 +77,12 @@ lk(j, k) of strand k with the strands below it, and one pass over the braid
 word gives all of them.  The lowest level with a nonzero linking number, or
 the top when there is none, bounds the deciding level from above; the
 lamination walks down from there to the lowest level whose strands do not
-form the trivial braid.  If that level has a nonzero linking number, its
-least linked strand gives the sign; otherwise that level alone is combed,
-and only there can the degree cap be reached.  `pure_word_sign` proves
-this.  `_comb_sign` is the reference the tests and the `cone` suite check
+form the trivial braid.  It never checks the braid on strands 1 and 2:
+whenever it stands at level 3, lk(1, 2) is zero, and two strands with no
+linking form the trivial braid.  If the deciding level has a nonzero
+linking number, its least linked strand gives the sign; otherwise that
+level alone is combed, and only there can the degree cap be reached.
+`pure_word_sign` proves this.  `_comb_sign` is the reference the tests and the `cone` suite check
 the order against: it combs the levels from 2 up, each as `comb_word`
 combs it, and signs the first nonempty component with `free_word_sign`,
 combing no level above it.  So it reads exactly the components that
@@ -332,11 +334,14 @@ def pure_word_sign(
     has a trivial g_{k-1}.  Start at the lowest level k with some
     lk(j, k) != 0, where g_k is nontrivial by (ii), or at n+1 if there is
     none, and step down while g_{k-1}, the braid left after deleting
-    strands k..n, is nontrivial by the lamination.  The walk stops at the
-    deciding level, or at n+1 when the whole braid is trivial and signs
-    zero.  If some lk(j, k) != 0, c_k decides at degree 1: the least
-    monomial with a nonzero coefficient is X_j0, j0 the least j with
-    lk(j0, k) != 0, and the sign is that of lk(j0, k).  Otherwise c_k alone
+    strands k..n, is nontrivial by the lamination.  No level below 4 is
+    walked: every linking number below k is zero, a pure braid on two
+    strands is sigma_1^(2 lk(1, 2)) and one on one strand is trivial, so
+    g_{k-1} is trivial whenever k <= 3.  The walk stops at the deciding
+    level, or at n+1 when the whole braid is trivial and signs zero.  If
+    some lk(j, k) != 0, c_k decides at degree 1: the least monomial with a
+    nonzero coefficient is X_j0, j0 the least j with lk(j0, k) != 0, and
+    the sign is that of lk(j0, k).  Otherwise c_k alone
     is read off g_k, as combing reads it, and signed by `free_word_sign`,
     so `DegreeCapExceeded` can only arise there: a word decided by its
     linking numbers is one `free_word_sign` decides at degree 1.
@@ -365,7 +370,7 @@ def pure_word_sign(
     if at != list(range(m)):
         raise MagnusError("braid is not pure")
     k = next((k for k in range(2, m) if any(twice_lk[k * m : k * m + k])), m)
-    while not lamination_trivial(
+    while k > 3 and not lamination_trivial(
         _braid_word(k - 1, delete_strand(letters, n, k, n))
     ):
         k -= 1

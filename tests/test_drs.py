@@ -25,6 +25,7 @@ from braidfrac.drs import (
     SystemMismatchError,
     _constructor,
     _drop_tree_ref,
+    _leaf_nodes,
     _nodes,
     _pruned,
     _tree_refs,
@@ -40,7 +41,7 @@ from braidfrac.drs import (
     parse_steps,
     steps_of,
 )
-from braidfrac.families import thompson_drs
+from braidfrac.families import edge_shift_drs, houghton_drs, thompson_drs
 
 
 def test_rule_needs_length_two_rhs():
@@ -138,6 +139,17 @@ _X2 = RewriteRule("x", ("x", "x"))
             ),
             DrsError,
             "child 'x' is not an ExpansionTree",
+        ),
+        # an unhashable child or label fails the table lookup
+        (
+            lambda: ExpansionTree("x", ([],)),
+            DrsError,
+            r"child \[\] is not an ExpansionTree",
+        ),
+        (
+            lambda: ExpansionTree(["x"]),
+            DrsError,
+            r"label \['x'\] is not hashable",
         ),
         (
             lambda: DigitRewritingSystem(("y",), (_X2,)),
@@ -392,6 +404,44 @@ def test_nodes_steps_and_pruning(request, system):
             assert _pruned(f, {(left, node.leaf_count)}) == made_leaf
             cuts += 1
     assert cuts > len(pool)
+
+
+def _leaves_by_recursion(row):
+    """The leaf nodes of `row`, left to right, by recursion."""
+    out = []
+    for t in row:
+        out += _leaves_by_recursion(t.children) if t.children else [t]
+    return out
+
+
+@pytest.mark.parametrize(
+    "drs",
+    [
+        thompson_drs(2),
+        thompson_drs(3),
+        houghton_drs(3),
+        edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",)),
+    ],
+    ids=["thompson2", "thompson3", "houghton3", "edge_ab_ab"],
+)
+def test_leaf_nodes_match_recursive_walk(drs):
+    # the stack walk takes a caret's children as they are; it gives the
+    # same leaf objects, in the same order, on every forest of depth 4 and
+    # on the children of every node, which `_complements` walks
+    rows = 0
+    for f in enumerate_expansions(drs, drs.base, 4):
+        for row in (f.trees, *(node.children for _, node in _nodes(f.trees))):
+            assert _leaf_nodes(row) == _leaves_by_recursion(row)  # by identity
+            rows += 1
+    assert rows > 50
+
+
+def test_leaf_nodes_on_deep_combs(thompson2):
+    # a left and a right comb 3,000 nodes deep, each ending in a caret:
+    # the walk uses no recursion
+    for steps in ([1] * 3000, list(range(1, 3001))):
+        f = forest_from_steps(thompson2, ("x",), steps)
+        assert _leaf_nodes(f.trees) == [ExpansionTree("x")] * 3001
 
 
 def test_forest_with_leaves(thompson2):

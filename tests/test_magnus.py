@@ -482,3 +482,53 @@ def test_pure_sign_named_values():
     # lk(1, 4) = +1, but strands 1..3 carry the commutator: level 3 decides
     w = comm + a_jk(1, 4)
     assert pure_word_sign(w, 4) is _comb_sign(w, 4, 16) is Sign.NEGATIVE
+
+
+def _lowest_linked_level(letters, n):
+    """The least k with some linking number lk(j, k) != 0, j < k, counted
+    crossing by crossing; None when every linking number is zero."""
+    at = list(range(n + 1))  # at[p] = strand at position p
+    twice_lk: dict[tuple[int, int], int] = {}
+    for d in letters:
+        p = abs(d)
+        a, b = at[p], at[p + 1]
+        at[p], at[p + 1] = b, a
+        key = (min(a, b), max(a, b))
+        twice_lk[key] = twice_lk.get(key, 0) + (1 if d > 0 else -1)
+    return min((k for (_, k), x in twice_lk.items() if x), default=None)
+
+
+def test_pure_sign_walks_no_level_below_4(monkeypatch):
+    """A word whose lowest linked level is 2 or 3 is signed without
+    deleting a strand: the braid on strands 1 and 2 has no linking there,
+    so it is trivial and the lamination walk has nothing to check.  From
+    level 4 up the walk checks the strands below at least once."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return delete_strand(*args)
+
+    monkeypatch.setattr(magnus, "delete_strand", counted)
+    low = high = 0
+    for kind, n, letters in _pure_corpus():
+        level = _lowest_linked_level(letters, n)
+        if level is None:
+            continue
+        calls.clear()
+        pure_word_sign(letters, n)
+        if level <= 3:
+            assert not calls, (kind, n, letters)
+            low += 1
+        else:
+            assert calls, (kind, n, letters)
+            high += 1
+    assert low >= 1_000 and high >= 1_000, (low, high)
+    # lk(3, 4) = +1, but strands 1..3 carry the commutator [A12, A23]: the
+    # walk steps down from level 4 to level 3, which is combed
+    w = (1, 1, 2, 2, -1, -1, -2, -2, 3, 3)
+    assert pure_word_sign(w, 4) is Sign.NEGATIVE
+    assert pure_word_sign(invert_free(w), 4) is Sign.POSITIVE
+    monkeypatch.undo()
+    assert _comb_sign(w, 4, 16) is Sign.NEGATIVE
+    assert _comb_sign(invert_free(w), 4, 16) is Sign.POSITIVE
