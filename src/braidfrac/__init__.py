@@ -50,7 +50,7 @@ from .magnus import (
     pure_word_sign,
     recombine,
 )
-from .ordering import Comparison, Sign
+from .ordering import Comparison, LimitExceeded, Sign
 from .plmaps import (
     PLMap,
     pl_compose,

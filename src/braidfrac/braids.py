@@ -71,7 +71,7 @@ from itertools import accumulate
 
 from .drs import ExpansionForest, ExpansionTree, SourceMismatchError, Word
 from .drs import _constructor, _forest, _set_field
-from .ordering import Sign
+from .ordering import LimitExceeded, Sign
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -84,7 +84,7 @@ class LabelMismatchError(BraidError):
     """Digital braid endpoints carry non-matching letters."""
 
 
-class StepBudgetExceeded(RuntimeError):
+class StepBudgetExceeded(LimitExceeded):
     """Handle reduction exceeded its rewrite budget."""
 
 
@@ -450,31 +450,30 @@ def _block_letters(offset: int, p: int, q: int, sign: int) -> Sequence[int]:
 
 def _cable(
     letters: tuple[int, ...], trees: Sequence[ExpansionTree], up: bool = False
-) -> tuple[tuple[int, ...], list[ExpansionTree]]:
+) -> tuple[tuple[int, ...], list[ExpansionTree] | None]:
     """Cable the word `letters` along `trees`, carrying them through it.
 
     `trees` sit at the top of the word, or at its bottom with `up`; the
     strand at position i becomes trees[i-1].leaf_count parallel strands,
     and each crossing the block crossing of its two cables.  Returns the
-    cabled word, not freely reduced and `letters` itself when every tree
-    is a leaf, and the trees at the other end of the word: the tree over
-    top position i is the one under the bottom position its strand
-    reaches.
+    cabled word, not freely reduced, and the trees at the other end of the
+    word: the tree over top position i is the one under the bottom
+    position its strand reaches.  When the word is nonempty and every tree
+    is a leaf, it returns `letters` itself and None at once: leaves are
+    hash-consed, so the trees at the other end are the leaves labelled by
+    the digital braid's own labels there, which the caller holds.
 
     width[p] is the width of the cable now at position p+1 and start[p] the
     number of strands left of it; swapping positions k, k+1 moves only
     start[k].  Cabling commutes with inversion, so the walk up reads the
     word right to left, emits each block for the letter as written with
     the widths above it, reversed, and reverses the output once."""
-    trees = list(trees)
     if not letters:
-        return letters, trees
+        return letters, list(trees)
     width = [t.leaf_count for t in trees]
     if sum(width) == len(width):
-        for d in reversed(letters) if up else letters:
-            k = d if d > 0 else -d
-            trees[k - 1], trees[k] = trees[k], trees[k - 1]
-        return letters, trees
+        return letters, None
+    trees = list(trees)
     start = [0, *accumulate(width[:-1])]
     out: list[int] = []
     for d in reversed(letters) if up else letters:
@@ -528,18 +527,23 @@ def act_bottom(
     reaches) and gb is the cabled braid from leaves(bup) to leaves(b); one
     upward walk of `_cable` gives both the trees of bup and the letters of
     gb.  When the trees come back in their order, bup's leaves are b's, and
-    one leaf walk gives both ends of gb.  The braid on the empty word needs
-    no special case: its empty word and empty forest come back equal to g
-    and b.
+    one leaf walk gives both ends of gb.  When every tree is a leaf, gb is
+    g and bup the leaves labelled by g's top.  The braid on the empty word
+    needs no special case: its empty word and empty forest come back equal
+    to g and b.
     """
     if b.source != g.bottom:
         raise SourceMismatchError(
             f"forest source {b.source} does not match braid bottom {g.bottom}"
         )
     letters, trees = _cable(g.word.letters, b.trees, True)
-    bup = _forest(b.drs, tuple(trees))
-    bottom = b.leaves()
-    top = bottom if bup.trees == b.trees else bup.leaves()
+    if trees is None:
+        top, bottom = g.top, g.bottom
+        bup = b if top == bottom else _forest(b.drs, tuple(map(ExpansionTree, top)))
+    else:
+        bup = _forest(b.drs, tuple(trees))
+        bottom = b.leaves()
+        top = bottom if bup.trees == b.trees else bup.leaves()
     gb = _digital_braid(
         top, bottom, _braid_word(max(len(top), 1), free_reduce(letters))
     )

@@ -7,10 +7,10 @@ nonzero on any failure.
 
 Exit codes: 0 on success, 1 when an ``axioms`` suite has failures, 2 on
 bad input (input nested past the recursion limit included), and 3 when a
-query is undecided within its limits: the Magnus degree cap of the pure
-sign, or the step budget of handle reduction, which the ``axioms`` suites
-run as the oracle for the braided sign.  The braided sign itself is read
-off the lamination and always terminates.
+query is undecided within its limits (`LimitExceeded`): the Magnus degree
+cap of the pure sign, or the step budget of handle reduction, which the
+``axioms`` suites run as the oracle for the braided sign.  The braided
+sign itself is read off the lamination and always terminates.
 
 Element expressions combine atoms with ``*`` and ``inv(...)``.  Atoms are
 fraction literals ``frac T=[steps] B=[braid word] S=[steps]`` or braided
@@ -31,7 +31,7 @@ import os
 import re
 import sys
 
-from .braids import BraidError, BraidWord, StepBudgetExceeded
+from .braids import BraidError, BraidWord
 from .drs import (
     DigitRewritingSystem,
     DrsError,
@@ -52,7 +52,8 @@ from .fraction import (
     parse_element,
 )
 from .harness import SUITE_NAMES, HarnessError, report_format, run_suite
-from .magnus import DEFAULT_DEGREE_CAP, DegreeCapExceeded
+from .magnus import DEFAULT_DEGREE_CAP
+from .ordering import LimitExceeded
 from .plmaps import realize_pair
 
 
@@ -363,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, DrsError, BraidError, FractionError, HarnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StepBudgetExceeded, DegreeCapExceeded) as exc:
+    except LimitExceeded as exc:
         print(f"undecided within limits: {exc}", file=sys.stderr)
         return 3
     except RecursionError:

@@ -187,29 +187,36 @@ class FractionElement:
             raise ContextMismatchError("elements live in different contexts")
         # B, A complete self.S and other.T to their join; cabling self.g
         # upward from B and other.g downward from A carries them to the
-        # ends of the product's braid, labelled by their leaves, or by the
-        # braids' own ends when every tree is a leaf, which `_cable` shows
-        # by returning a nonempty word as it is.  When neither cabling
-        # moved a tree, both ends are the leaves of the join
+        # ends of the product's braid, labelled by their leaves.  When
+        # every tree of a side is a leaf, `_cable` returns None for them:
+        # they are the leaves labelled by that braid's own end, so the
+        # product's end is that end, its forest the outer one, and the
+        # side is unmoved when the braid's two ends agree.  When neither
+        # side moved a tree, both ends are the leaves of the join
         # graft(S, B) = graft(T', A), so one end gives both
+        g, h = self.g, other.g
         b, a = _complements(self.S.trees, other.T.trees)
-        g, h = self.g.word.letters, other.g.word.letters
-        left, bup = _cable(g, b, True)
-        right, adown = _cable(h, a)
-        if bup == b and adown == a:
+        left, bup = _cable(g.word.letters, b, True)
+        right, adown = _cable(h.word.letters, a)
+        if (g.top == g.bottom if bup is None else bup == b) and (
+            h.top == h.bottom if adown is None else adown == a
+        ):
             top = bottom = (
-                self.g.top if left is g and g
-                else other.g.bottom if right is h and h
+                g.top if bup is None
+                else h.bottom if adown is None
                 else _leaf_labels(b)
             )
         else:
-            top = self.g.top if left is g and g else _leaf_labels(bup)
-            bottom = other.g.bottom if right is h and h else _leaf_labels(adown)
+            top = g.top if bup is None else _leaf_labels(bup)
+            bottom = h.bottom if adown is None else _leaf_labels(adown)
         braid = _digital_braid(
             top, bottom, _braid_word(len(top), free_reduce(left + right))
         )
         return _element(
-            self.context, _graft(self.T, bup), braid, _graft(other.S, adown)
+            self.context,
+            self.T if bup is None else _graft(self.T, bup),
+            braid,
+            other.S if adown is None else _graft(other.S, adown),
         )
 
     def invert(self) -> "FractionElement":

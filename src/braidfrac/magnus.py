@@ -55,9 +55,11 @@ Free words are then signed by the Magnus expansion x_i -> 1 + X_i into
 integer power series in noncommuting variables: order monomials by total
 degree then lexicographically, and take the sign of the lowest nonzero
 non-constant coefficient.  `magnus_expand` is the one home of the series
-product: it multiplies one coefficient dict, letter by letter, by the
-letter's truncated series, 1 + X_i for x_i and 1 - X_i + X_i^2 - ... for
-x_i^{-1}, without building that series or any polynomial per letter.  The
+of a free word: it multiplies one coefficient dict, letter by letter, by
+the letter's truncated series, 1 + X_i for x_i and 1 - X_i + X_i^2 - ...
+for x_i^{-1}, without building that series or any polynomial per letter.
+The order path never builds the free word, and so has its own series
+kernel (below), which the tests check against this one.  The
 expansion of a nontrivial reduced word is never 1, so escalating the
 truncation degree terminates; a configurable cap turns a runaway
 escalation into an error instead of a silent answer.  The resulting order
@@ -81,19 +83,44 @@ form the trivial braid.  It never checks the braid on strands 1 and 2:
 whenever it stands at level 3, lk(1, 2) is zero, and two strands with no
 linking form the trivial braid.  If the deciding level has a nonzero
 linking number, its least linked strand gives the sign; otherwise that
-level alone is combed, and only there can the degree cap be reached.
-`pure_word_sign` proves this.  `_comb_sign` is the reference the tests and the `cone` suite check
-the order against: it combs the levels from 2 up, each as `comb_word`
-combs it, and signs the first nonempty component with `free_word_sign`,
-combing no level above it.  So it reads exactly the components that
-`recombine` checks, and shares none of the order path's shortcuts.
+level alone is signed by the Magnus series of its component, with no free
+word built, and only there can the degree cap be reached.
+`pure_word_sign` proves this.  `_comb_sign` is the reference the tests
+and the `cone` suite check the order against: it combs the levels from 2
+up, each as `comb_word` combs it, and signs the first nonempty component
+with `free_word_sign`, combing no level above it.  So it reads exactly the
+components that `recombine` checks, and shares no series code with the
+order path.
 
-`_level_component(letters, n, k)` is the one place that knows which braid
-a level is read from: it deletes strands k+1..n itself, by one call of
+The order path follows only the series of u, truncated at a degree d
+(`_level_series`; `_level_sign` raises d from 2 up to the cap).  Let mu
+be the Magnus map x_j -> 1 + X_j, a homomorphism from the free group to
+the units of the power series ring.  A crossing's automorphism phi
+extends to the ring endomorphism Phi that substitutes mu(phi(x_j)) - 1
+for X_j; mu(phi(w)) and Phi(mu(w)) are homomorphisms in w that agree on
+the generators, so the step u -> phi(u) v takes mu(u) to
+Phi(mu(u)) mu(v).  Each substituted series has no constant term, so Phi
+sends a monomial of degree m to terms of degree m and up: the terms of
+mu(u) above d contribute nothing at degree d or below, and truncating at
+d after every letter gives the truncation of the whole series.  Setting
+X_k = 0 is the ring map that mu turns bar into, so applied at the end it
+leaves the series of bar(u) = e(g), whatever the factor x_k^m that u
+carries (the argument for bar(u) above).  `_level_series` writes the
+series in strand variables, Y_j for the X at the position that strand j
+has reached (Y_k = X_k at the end, the braid being pure), and sets
+Y_k = 0 at every step instead: a step sends Y_k to a conjugate of Y_k or
+to Y_k, and uses Y_k otherwise only in a conjugating factor
+(1 + Y_k)^(+-1), never in mu(v), so setting Y_k = 0 before the step or
+after it gives the same series.  So Y_k never enters the stored series.
+
+`_level_component(letters, n, k)` is the one place that builds the braid a
+level is read from: it deletes strands k+1..n itself, by one call of
 `braids.delete_strand` (the inverse of cabling).  A component is a freely
 reduced element of a free group, so the order of deletions cannot change
-it, and `comb_word`, `_comb_sign` and `pure_word_sign` each name only the
-levels they read.  `comb_word` is public and checks that its word is pure.
+it, and `comb_word` and `_comb_sign` each name only the levels they read.
+`_level_series` builds no braid: it follows the strands through g and
+skips the crossings that deletion would drop.  `comb_word` is public and
+checks that its word is pure.
 `pure_word_sign` is exported too: it refuses a letter 0 and a letter past
 n - 1 with `MagnusError`, and reads purity off the strand arrangement its
 linking-number pass ends with, so the order path never builds a
@@ -106,6 +133,7 @@ A free word spells x_j as the letter j and x_j^{-1} as -j, for j >= 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .braids import (
@@ -116,7 +144,7 @@ from .braids import (
     lamination_trivial,
 )
 from .drs import _constructor, _set_field
-from .ordering import Sign
+from .ordering import LimitExceeded, Sign
 
 FreeWord = tuple[int, ...]
 
@@ -127,7 +155,7 @@ class MagnusError(ValueError):
     """Structural failure in combing or expansion."""
 
 
-class DegreeCapExceeded(RuntimeError):
+class DegreeCapExceeded(LimitExceeded):
     """Magnus escalation hit the truncation cap without deciding a sign."""
 
 
@@ -309,6 +337,130 @@ def _comb_sign(letters: tuple[int, ...], n: int, degree_cap: int) -> Sign:
     return free_word_sign(next((c for c in components if c), ()), degree_cap)
 
 
+# --- the Magnus series of a level, without its word ------------------------
+
+def _series_terms(v: list[int], q: list[int], high: dict[Monomial, int]):
+    """The nonzero non-constant terms of a series stored as `_level_series`
+    stores it, as (monomial, coefficient)."""
+    yield from (((j,), c) for j, c in enumerate(v) if c)
+    yield from ((divmod(x, len(v)), c) for x, c in enumerate(q) if c)
+    yield from high.items()
+
+
+def _high_step(
+    v: list[int], q: list[int], high: dict[Monomial, int], k: int,
+    s: int, t: int, e: int, degree: int,
+) -> None:
+    """The terms of degree 3..`degree` that one crossing of `_level_series`
+    adds to `high`, all read off the series before the crossing: with s
+    the strand k, the product with (1 + Y_t)^e; otherwise the substitution
+    of Y_s by (1 + Y_t)^e Y_s (1 + Y_t)^-e.  For e = 1 its part of degree
+    j >= 2 is (-1)^(j-1) (Y_s Y_t^(j-1) - Y_t Y_s Y_t^(j-2)), `parts[j - 2]`;
+    for e = -1 each of the two monomials is read backwards."""
+    delta: dict[Monomial, int] = {}
+    if s == k:  # (1 + Y_t)^e is 1 + Y_t, or the sum of (-Y_t)^j
+        last = 1 if e > 0 else degree
+        for mono, c in itertools.chain((((), 1),), _series_terms(v, q, high)):
+            for j in range(max(1, 3 - len(mono)), min(last, degree - len(mono)) + 1):
+                key = mono + (t,) * j
+                delta[key] = delta.get(key, 0) + c * e**j
+    else:
+        parts = [
+            (((s,) + (t,) * (j - 1))[::e], ((t, s) + (t,) * (j - 2))[::e],
+             (-1) ** (j - 1))
+            for j in range(2, degree + 1)
+        ]
+        for mono, c in _series_terms(v, q, high):
+            if s not in mono:
+                continue
+            terms = [((), c)]  # the product so far, one part chosen per Y_s
+            for rest, x in zip(range(len(mono) - 1, -1, -1), mono):
+                out = []
+                for p, pc in terms:
+                    out.append((p + (x,), pc))
+                    if x == s:  # each of the `rest` letters after x adds one
+                        for first, second, sign in parts[: degree - rest - len(p) - 1]:
+                            out += ((p + first, pc * sign), (p + second, -pc * sign))
+                terms = out
+            for key, pc in terms:
+                if len(key) > max(len(mono), 2):  # not mono, nor degree 2
+                    delta[key] = delta.get(key, 0) + pc
+    for key, c in delta.items():
+        c += high.get(key, 0)
+        if c:
+            high[key] = c
+        else:
+            high.pop(key, None)
+
+
+def _level_series(
+    letters: tuple[int, ...], n: int, k: int, degree: int
+) -> tuple[list[int], list[int], dict[Monomial, int]]:
+    """Magnus series of the level-k component of a pure braid word on n
+    strands, truncated at `degree`, with the constant term 1 left out.
+
+    The series of the conjugator u through g_k is followed in strand
+    variables: Y_j is X_p for the position p that strand j has reached in
+    g_k, so the swap of X_i and X_i+1 moves no coefficient, and Y_j = X_j
+    again at the end.  In them a crossing of g_k depends only on its two
+    strands, so g is walked as it is and a crossing with a strand above k,
+    which deleting strands k+1..n drops, is skipped.  A crossing in which
+    strand s passes over strand t (the strand at i for a positive letter,
+    at i+1 for a negative one; e the letter's sign) substitutes
+    (1 + Y_t)^e Y_s (1 + Y_t)^-e for Y_s; when s is strand k, it
+    multiplies by the series of v, (1 + Y_t)^e, instead.  Y_k is 0
+    throughout (the module docstring), which kills the substitution for
+    Y_k and makes a crossing under which strand k passes change nothing.
+    The coefficients are stored by degree: v[j] for Y_j, q[i * m + j] for
+    Y_i Y_j, and degrees 3 and up in the dict `high` (`_high_step`), which
+    stays empty at degree 2.  A crossing touches only the terms in Y_s
+    (at degree 2, two entries) or, for strand k, one column of q."""
+    m = k + 1
+    at = list(range(n + 1))  # at[p] = strand at position p
+    v = [0] * m
+    q = [0] * (m * m)
+    high: dict[Monomial, int] = {}
+    for d in letters:
+        i = d if d > 0 else -d
+        a, b = at[i], at[i + 1]
+        at[i], at[i + 1] = b, a
+        s, t, e = (a, b, 1) if d > 0 else (b, a, -1)
+        if t >= k or s > k:
+            continue
+        if degree > 2:
+            _high_step(v, q, high, k, s, t, e, degree)
+        if s == k:  # times 1 + Y_t, or 1 - Y_t + Y_t^2 - ...
+            q[t::m] = [x + e * y for x, y in zip(q[t::m], v)]
+            if e < 0:
+                q[t * m + t] += 1
+            v[t] += e
+        elif v[s]:  # Y_s gains e (Y_t Y_s - Y_s Y_t) at degree 2
+            q[t * m + s] += e * v[s]
+            q[s * m + t] -= e * v[s]
+    return v, q, high
+
+
+def _level_sign(
+    letters: tuple[int, ...], n: int, k: int, degree_cap: int
+) -> Sign:
+    """Magnus sign of the level-k component of a pure braid word on n
+    strands, the sign `free_word_sign(_level_component(letters, n, k),
+    degree_cap)` gives, read off its truncated series (`_level_series`)
+    at degrees 2, 3, ... up to `degree_cap`: the lowest term is the first
+    nonzero entry of v, then of q (lexicographic in (i, j)), then the least
+    monomial of `high`.  `pure_word_sign` calls it only on a level whose
+    linking numbers, the degree-1 coefficients, are all zero, or with
+    `degree_cap` below 1, so no pass is made at degree 1."""
+    for degree in range(2, degree_cap + 1):
+        v, q, high = _level_series(letters, n, k, degree)
+        c = next((c for c in v if c), 0) or next((c for c in q if c), 0)
+        if not c and high:
+            c = high[min(high, key=lambda mono: (len(mono), mono))]
+        if c:
+            return Sign.POSITIVE if c > 0 else Sign.NEGATIVE
+    raise DegreeCapExceeded(f"no nonzero low-degree term up to degree {degree_cap}")
+
+
 def pure_word_sign(
     letters: tuple[int, ...], n: int, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> Sign:
@@ -341,10 +493,13 @@ def pure_word_sign(
     level, or at n+1 when the whole braid is trivial and signs zero.  If
     some lk(j, k) != 0, c_k decides at degree 1: the least monomial with a
     nonzero coefficient is X_j0, j0 the least j with lk(j0, k) != 0, and
-    the sign is that of lk(j0, k).  Otherwise c_k alone
-    is read off g_k, as combing reads it, and signed by `free_word_sign`,
-    so `DegreeCapExceeded` can only arise there: a word decided by its
-    linking numbers is one `free_word_sign` decides at degree 1.
+    the sign is that of lk(j0, k).  Otherwise c_k alone is
+    signed by `_level_sign`, from the Magnus series of the conjugator of
+    x_k through g_k, truncated at degrees 2, 3, ... up to `degree_cap`,
+    with X_k set to 0 (the module docstring proves that this is the series
+    of c_k); no free word is built.  So `DegreeCapExceeded` can only arise
+    there: a word decided by its linking numbers is one `free_word_sign`
+    decides at degree 1.
 
     `letters` is a word on n >= 1 strands.  A letter 0 or one past n - 1
     raises `MagnusError`: the first is tested for, the second ends the
@@ -379,4 +534,4 @@ def pure_word_sign(
     lk = next((x for x in twice_lk[k * m : k * m + k] if x), 0)
     if lk and degree_cap >= 1:  # below degree 1 combing decides nothing
         return Sign.POSITIVE if lk > 0 else Sign.NEGATIVE
-    return free_word_sign(_level_component(letters, n, k), degree_cap)
+    return _level_sign(letters, n, k, degree_cap)

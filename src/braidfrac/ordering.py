@@ -1,4 +1,5 @@
-"""Shared sign and comparison values for the various orders in this package."""
+"""Shared sign and comparison values, and the one refusal, for the various
+orders in this package."""
 
 from __future__ import annotations
 
@@ -19,6 +20,12 @@ class Sign(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+class LimitExceeded(RuntimeError):
+    """An order query stopped at one of its limits without deciding: the
+    handle-reduction step budget (`braids.StepBudgetExceeded`) or the
+    Magnus degree cap (`magnus.DegreeCapExceeded`)."""
 
 
 class Comparison(enum.Enum):

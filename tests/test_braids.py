@@ -591,8 +591,13 @@ def test_cable_carries_trees_along_strands():
             placed = [None] * n
             for i, p in enumerate(perm):
                 placed[p - 1] = trees[i]
-            assert down == placed
-            assert up == [trees[p - 1] for p in perm]
+            if sum(widths) == n and letters:
+                # all leaves: the caller reads the leaves at the other end
+                # off the braid's own labels there
+                assert down is None and up is None
+            else:
+                assert down == placed
+                assert up == [trees[p - 1] for p in perm]
             inverse = word.inverse().letters
             back, _ = _cable(inverse, trees)
             assert up_letters == tuple(-d for d in reversed(back))

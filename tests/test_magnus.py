@@ -3,9 +3,10 @@
 Combing is checked against the braid oracles: recombining the combed
 components must reproduce the original word up to braid equivalence,
 verified through handle reduction and the lamination action independently.
-`pure_word_sign`, which reads linking numbers and combs at most one level,
-is checked against combing level by level up to the deciding one
-(`_comb_sign`).
+`pure_word_sign`, which reads linking numbers and signs at most one level
+by its truncated Magnus series (`_level_sign`), is checked against combing
+level by level up to the deciding one (`_comb_sign`), and the series
+against `free_word_sign` of the combed component at every cap.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from braidfrac import magnus
+from braidfrac import LimitExceeded, magnus
 from braidfrac.braids import (
     BraidWord,
     DigitalBraid,
+    StepBudgetExceeded,
     _cable,
     act_bottom,
     delete_strand,
@@ -36,6 +38,9 @@ from braidfrac.magnus import (
     NcPolynomial,
     _comb_sign,
     _level_component,
+    _level_series,
+    _level_sign,
+    _series_terms,
     comb_word,
     free_word_sign,
     invert_free,
@@ -162,6 +167,18 @@ def test_free_word_sign():
 def test_degree_cap():
     with pytest.raises(DegreeCapExceeded):
         free_word_sign((1, 2, -1, -2), degree_cap=1)
+
+
+def test_limits_share_one_base():
+    # the two ways a query stops undecided are one exported type, and each
+    # keeps its own name and message
+    with pytest.raises(LimitExceeded, match="^no nonzero low-degree term up to degree 1$"):
+        free_word_sign((1, 2, -1, -2), degree_cap=1)
+    with pytest.raises(LimitExceeded, match="^handle reduction exceeded 1 rewrites$"):
+        handle_reduce(BraidWord(3, (1, 2, -1, -2, 1, 2, -1, -2)), budget=1)
+    assert issubclass(DegreeCapExceeded, LimitExceeded)
+    assert issubclass(StepBudgetExceeded, LimitExceeded)
+    assert issubclass(LimitExceeded, RuntimeError)
 
 
 def test_combing_standard_generator():
@@ -408,15 +425,15 @@ def _pure_corpus():
 
 def test_pure_sign_matches_combing(monkeypatch):
     """The order path signs every word as combing every level does, both by
-    linking numbers and by combing one level, and never combs more than
-    one level per word."""
+    linking numbers and by the Magnus series of one level, and never signs
+    more than one level per word by its series."""
     combs = []
 
-    def level_component(letters, n, k):
+    def level_sign(letters, n, k, degree_cap):
         combs.append(k)
-        return _level_component(letters, n, k)
+        return _level_sign(letters, n, k, degree_cap)
 
-    monkeypatch.setattr(magnus, "_level_component", level_component)
+    monkeypatch.setattr(magnus, "_level_sign", level_sign)
     counts: dict[tuple[str, Sign], int] = {}
     disagreements = []
     decided = combed = 0
@@ -482,6 +499,89 @@ def test_pure_sign_named_values():
     # lk(1, 4) = +1, but strands 1..3 carry the commutator: level 3 decides
     w = comm + a_jk(1, 4)
     assert pure_word_sign(w, 4) is _comb_sign(w, 4, 16) is Sign.NEGATIVE
+
+
+def test_level_series_is_the_magnus_expansion():
+    """The series the order path follows is the truncated Magnus expansion
+    of the combed component, coefficient for coefficient, at every level
+    of every 20th corpus word and at degrees 2 and 3."""
+    kinds = set()
+    for kind, n, letters in itertools.islice(_pure_corpus(), 0, None, 20):
+        for k in range(2, n + 1):
+            component = _level_component(letters, n, k)
+            for degree in (2, 3):
+                terms = dict(_series_terms(*_level_series(letters, n, k, degree)))
+                expected = magnus_expand(component, degree).coeffs
+                assert {(): 1, **terms} == expected, (kind, n, k, degree)
+        kinds.add(kind)
+    assert len(kinds) == 6
+
+
+def test_level_sign_matches_combed_component(monkeypatch):
+    """At every cap from 1 to 4, the series kernel signs each level that the
+    order path reaches as `free_word_sign` signs the combed component, or
+    both raise `DegreeCapExceeded`; some of the levels need degree 3."""
+    levels = []
+
+    def level_sign(letters, n, k, degree_cap):
+        levels.append((letters, n, k))
+        return _level_sign(letters, n, k, degree_cap)
+
+    monkeypatch.setattr(magnus, "_level_sign", level_sign)
+    for _, n, letters in _pure_corpus():
+        pure_word_sign(letters, n)
+    monkeypatch.undo()
+
+    def outcome(sign, *args):
+        try:
+            return sign(*args)
+        except DegreeCapExceeded as exc:
+            return str(exc)
+
+    at_degree_3 = 0
+    for letters, n, k in levels:
+        component = _level_component(letters, n, k)
+        got = [outcome(_level_sign, letters, n, k, cap) for cap in range(1, 5)]
+        assert got == [
+            outcome(free_word_sign, component, cap) for cap in range(1, 5)
+        ], (n, k, letters)
+        at_degree_3 += isinstance(got[1], str) and isinstance(got[2], Sign)
+    assert len(levels) >= 2_500 and at_degree_3 >= 200, (len(levels), at_degree_3)
+
+
+# a conjugated braid of the pure-bi benchmark at its acceptance sizes: all
+# linking numbers at level 11 are zero and the combed component has 1,016
+# letters, so combing it took seconds; its series decides at degree 2
+_OUTLIER = (
+    5, 6, 7, 4, 5, 6, 3, 4, 5, 2, 3, 4, 1, 2, 3, -8, -9, -7, -8, -6, -7, -5,
+    -6, -4, -5, -10, -9, -8, -7, -6, -6, -7, -8, -9, -10, -5, -4, -6, -5,
+    -7, -6, -8, -7, -9, -8, 3, 4, 5, 6, 7, 2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 8,
+    9, 7, 8, 6, 7, 10, 9, 8, -5, -6, -4, -5, -3, -4, -2, -3, -1, -2, -7, -6,
+    -5, -4, -3, -8, -9, -7, -8, -6, -7, -5, -6, -4, -5, -10, -9, -8, -7, -6,
+    3, 4, 5, 2, 3, 1, 2, 4, 3, 6, 7, 8, 9, 10, 5, 4, 6, 5, 7, 6, 8, 7, 9, 8,
+    -3, -2, -1, -4, -3, -2, -5, -4, -3, -6, -5, -4, -7, -6, -5, 4, -5, -6,
+    -3, 10, 9, -8, 2, -1, 4, 5, -7, 1, -2, 5, 4, 3, -7, 6, 5, -4, 8, -9,
+    -10, -10, 9, -8, -7, -6, 9, 8, 7, -6, 7, 8, 9, 10, -6, -7, -8, 10, 9,
+    -8, 4, -5, -6, 7, -3, -4, -5, 2, -1, 7, -5, -4, 1, -2, 8, -9, -10, 3, 6,
+    5, -4, 5, 6, 7, 4, 5, 6, 3, 4, 5, 2, 3, 4, 1, 2, 3, -8, -9, -7, -8, -6,
+    -7, -5, -6, -4, -5, -10, -9, -8, -7, -6, -3, -4, -2, -1, -3, -2, -5, -4,
+    -3, 6, 7, 8, 9, 10, 5, 4, 6, 5, 7, 6, 8, 7, 9, 8, 3, 4, 5, 6, 7, 2, 1,
+    3, 2, 4, 3, 5, 4, 6, 5, -8, -9, -10, -7, -6, -8, -7, -9, -8, -5, -6, -4,
+    -5, -3, -4, -2, -3, -1, -2, -7, -6, -5, -4, -3, 8, 9, 7, 8, 6, 7, 5, 6,
+    4, 5, 10, 9, 8, 7, 6, 6, 7, 8, 9, 10, 5, 4, 6, 5, 7, 6, 8, 7, 9, 8, -3,
+    -2, -1, -4, -3, -2, -5, -4, -3, -6, -5, -4, -7, -6, -5,
+)
+
+
+def test_pure_sign_outlier_from_the_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the order path combs no free word")
+
+    monkeypatch.setattr(magnus, "_level_component", refuse)
+    monkeypatch.setattr(magnus, "free_word_sign", refuse)
+    assert len(_OUTLIER) == 340
+    assert pure_word_sign(_OUTLIER, 11, 8) is Sign.POSITIVE
+    assert pure_word_sign(invert_free(_OUTLIER), 11, 8) is Sign.NEGATIVE
 
 
 def _lowest_linked_level(letters, n):
