@@ -2,12 +2,12 @@
 
 Each suite draws structured random data from a group context and checks one
 family of properties: positive-cone closure and trichotomy, invariance of
-the order under left (and, in the pure flavor, right) multiplication,
-preservation of braid positivity under cabling, the axioms of the mutual
-actions underlying the indirect product, stability of the braid-factor sign
-under representative padding, the kernel/section decomposition of the
-projection that forgets braids, and exactness plus faithfulness of the PL
-realization.
+the order under left (and, in the pure and plain flavors, right)
+multiplication, preservation of braid positivity under cabling, the axioms
+of the mutual actions underlying the indirect product, stability of the
+braid-factor sign under representative padding, the kernel/section
+decomposition of the projection that forgets braids, and exactness plus
+faithfulness of the PL realization.
 
 Trials are deterministic: trial i of a run with seed s uses the derived seed
 s * 1_000_003 + i, so runs are reproducible and trials independent.
@@ -369,13 +369,14 @@ def _suite_realization(context, rng, budget, letters, degree_cap):
 
 
 _PURE = (Flavor.PURE_BRAIDED,)
+_BI_ORDERED = (Flavor.PURE_BRAIDED, Flavor.PLAIN)
 _WITH_BRAIDS = (Flavor.BRAIDED, Flavor.PURE_BRAIDED, Flavor.PERMUTATION)
 
 # suite body and the flavors it runs on
 _SUITES = {
     "cone": (_suite_cone, ORDERABLE_FLAVORS),
     "left_invariance": (_suite_left_invariance, ORDERABLE_FLAVORS),
-    "bi_invariance": (_suite_bi_invariance, _PURE),
+    "bi_invariance": (_suite_bi_invariance, _BI_ORDERED),
     "compatibility": (_suite_compatibility, _WITH_BRAIDS),
     "indirect_axioms": (_suite_indirect_axioms, _WITH_BRAIDS),
     "same_sign": (_suite_same_sign, tuple(Flavor)),

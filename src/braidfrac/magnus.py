@@ -133,7 +133,6 @@ A free word spells x_j as the letter j and x_j^{-1} as -j, for j >= 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .braids import (
@@ -339,58 +338,48 @@ def _comb_sign(letters: tuple[int, ...], n: int, degree_cap: int) -> Sign:
 
 # --- the Magnus series of a level, without its word ------------------------
 
-def _series_terms(v: list[int], q: list[int], high: dict[Monomial, int]):
-    """The nonzero non-constant terms of a series stored as `_level_series`
-    stores it, as (monomial, coefficient)."""
-    yield from (((j,), c) for j, c in enumerate(v) if c)
-    yield from ((divmod(x, len(v)), c) for x, c in enumerate(q) if c)
-    yield from high.items()
-
-
-def _high_step(
-    v: list[int], q: list[int], high: dict[Monomial, int], k: int,
-    s: int, t: int, e: int, degree: int,
-) -> None:
-    """The terms of degree 3..`degree` that one crossing of `_level_series`
-    adds to `high`, all read off the series before the crossing: with s
-    the strand k, the product with (1 + Y_t)^e; otherwise the substitution
-    of Y_s by (1 + Y_t)^e Y_s (1 + Y_t)^-e.  For e = 1 its part of degree
-    j >= 2 is (-1)^(j-1) (Y_s Y_t^(j-1) - Y_t Y_s Y_t^(j-2)), `parts[j - 2]`;
-    for e = -1 each of the two monomials is read backwards."""
-    delta: dict[Monomial, int] = {}
+def _crossing(
+    series: dict[Monomial, int], k: int, s: int, t: int, e: int, degree: int
+) -> dict[Monomial, int]:
+    """The series of `_level_series` after one crossing, from degree 3 up:
+    `series` maps every monomial of degree 1..`degree` to its nonzero
+    coefficient, the constant term 1 left out.  With s the strand k, the
+    series is multiplied by (1 + Y_t)^e.  Otherwise Y_s is substituted by
+    its image (1 + Y_t)^e Y_s (1 + Y_t)^-e, built once: Y_s, and two
+    monomials at each degree j from 2 to `degree`, for e = 1
+    (-1)^(j-1) (Y_s Y_t^(j-1) - Y_t Y_s Y_t^(j-2)) and for e = -1 the same
+    with each monomial read backwards.  Each Y_s of a monomial takes only
+    the parts of its image that leave every later letter room within
+    `degree`; a monomial without Y_s is carried over as it is."""
+    out: dict[Monomial, int] = {}
     if s == k:  # (1 + Y_t)^e is 1 + Y_t, or the sum of (-Y_t)^j
+        out.update(series)
         last = 1 if e > 0 else degree
-        for mono, c in itertools.chain((((), 1),), _series_terms(v, q, high)):
-            for j in range(max(1, 3 - len(mono)), min(last, degree - len(mono)) + 1):
+        for mono, c in [((), 1), *series.items()]:
+            for j in range(1, min(last, degree - len(mono)) + 1):
                 key = mono + (t,) * j
-                delta[key] = delta.get(key, 0) + c * e**j
+                out[key] = out.get(key, 0) + c * e**j
     else:
-        parts = [
-            (((s,) + (t,) * (j - 1))[::e], ((t, s) + (t,) * (j - 2))[::e],
-             (-1) ** (j - 1))
-            for j in range(2, degree + 1)
-        ]
-        for mono, c in _series_terms(v, q, high):
+        image = [((s,), 1)]  # by degree: Y_s, then two monomials per degree
+        for j in range(2, degree + 1):
+            sign = (-1) ** (j - 1)
+            image += (((s,) + (t,) * (j - 1))[::e], sign), (
+                ((t, s) + (t,) * (j - 2))[::e], -sign)
+        for mono, c in series.items():
             if s not in mono:
+                out[mono] = out.get(mono, 0) + c
                 continue
-            terms = [((), c)]  # the product so far, one part chosen per Y_s
+            terms = [((), c)]  # the product so far, letter by letter
             for rest, x in zip(range(len(mono) - 1, -1, -1), mono):
-                out = []
-                for p, pc in terms:
-                    out.append((p + (x,), pc))
-                    if x == s:  # each of the `rest` letters after x adds one
-                        for first, second, sign in parts[: degree - rest - len(p) - 1]:
-                            out += ((p + first, pc * sign), (p + second, -pc * sign))
-                terms = out
+                # each of the `rest` letters after x adds one degree at least
+                terms = [
+                    (p + f, pc * fc) for p, pc in terms for f, fc in (
+                        image[: 2 * (degree - rest - len(p)) - 1] if x == s
+                        else [((x,), 1)])
+                ]
             for key, pc in terms:
-                if len(key) > max(len(mono), 2):  # not mono, nor degree 2
-                    delta[key] = delta.get(key, 0) + pc
-    for key, c in delta.items():
-        c += high.get(key, 0)
-        if c:
-            high[key] = c
-        else:
-            high.pop(key, None)
+                out[key] = out.get(key, 0) + pc
+    return {mono: c for mono, c in out.items() if c}
 
 
 def _level_series(
@@ -411,15 +400,17 @@ def _level_series(
     multiplies by the series of v, (1 + Y_t)^e, instead.  Y_k is 0
     throughout (the module docstring), which kills the substitution for
     Y_k and makes a crossing under which strand k passes change nothing.
-    The coefficients are stored by degree: v[j] for Y_j, q[i * m + j] for
-    Y_i Y_j, and degrees 3 and up in the dict `high` (`_high_step`), which
-    stays empty at degree 2.  A crossing touches only the terms in Y_s
-    (at degree 2, two entries) or, for strand k, one column of q."""
+    At degree 2 the coefficients are stored in two arrays, v[j] for Y_j
+    and q[i * m + j] for Y_i Y_j, and a crossing touches only the two
+    entries in Y_s or, for strand k, one column of q.  From degree 3 up
+    the whole series is one dict, monomial to coefficient, which
+    `_crossing` renews at each crossing; then v and q stay zero, as the
+    dict stays empty at degree 2."""
     m = k + 1
     at = list(range(n + 1))  # at[p] = strand at position p
     v = [0] * m
     q = [0] * (m * m)
-    high: dict[Monomial, int] = {}
+    series: dict[Monomial, int] = {}
     for d in letters:
         i = d if d > 0 else -d
         a, b = at[i], at[i + 1]
@@ -428,7 +419,8 @@ def _level_series(
         if t >= k or s > k:
             continue
         if degree > 2:
-            _high_step(v, q, high, k, s, t, e, degree)
+            series = _crossing(series, k, s, t, e, degree)
+            continue
         if s == k:  # times 1 + Y_t, or 1 - Y_t + Y_t^2 - ...
             q[t::m] = [x + e * y for x, y in zip(q[t::m], v)]
             if e < 0:
@@ -437,7 +429,7 @@ def _level_series(
         elif v[s]:  # Y_s gains e (Y_t Y_s - Y_s Y_t) at degree 2
             q[t * m + s] += e * v[s]
             q[s * m + t] -= e * v[s]
-    return v, q, high
+    return v, q, series
 
 
 def _level_sign(
@@ -447,15 +439,16 @@ def _level_sign(
     strands, the sign `free_word_sign(_level_component(letters, n, k),
     degree_cap)` gives, read off its truncated series (`_level_series`)
     at degrees 2, 3, ... up to `degree_cap`: the lowest term is the first
-    nonzero entry of v, then of q (lexicographic in (i, j)), then the least
-    monomial of `high`.  `pure_word_sign` calls it only on a level whose
-    linking numbers, the degree-1 coefficients, are all zero, or with
-    `degree_cap` below 1, so no pass is made at degree 1."""
+    nonzero entry of v, then of q (lexicographic in (i, j)) at degree 2,
+    and the least monomial of the dict above it.  `pure_word_sign` calls
+    it only on a level whose linking numbers, the degree-1 coefficients,
+    are all zero, or with `degree_cap` below 1, so no pass is made at
+    degree 1."""
     for degree in range(2, degree_cap + 1):
-        v, q, high = _level_series(letters, n, k, degree)
+        v, q, series = _level_series(letters, n, k, degree)
         c = next((c for c in v if c), 0) or next((c for c in q if c), 0)
-        if not c and high:
-            c = high[min(high, key=lambda mono: (len(mono), mono))]
+        if not c and series:
+            c = series[min(series, key=lambda mono: (len(mono), mono))]
         if c:
             return Sign.POSITIVE if c > 0 else Sign.NEGATIVE
     raise DegreeCapExceeded(f"no nonzero low-degree term up to degree {degree_cap}")

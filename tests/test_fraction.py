@@ -156,6 +156,23 @@ def test_permutation_identity_ignores_pure_braiding(thompson2):
     assert not elem(ctx, [1], (1,), [1]).is_identity()
 
 
+def test_permutation_flavor_has_torsion(thompson2):
+    # the reason the flavor has no order: a single crossing has order two
+    ctx = make_context(thompson2, "permutation")
+    e = parse_element(ctx, "frac T=[1] B=[1] S=[1]")
+    assert not e.is_identity()
+    assert (e * e).is_identity()
+
+
+def test_no_step_is_drawn_on_a_letter_without_a_rule():
+    # in `a: b c` the letters b and c have no rule, so a draw on the base
+    # b stops before its first step
+    drs = edge_shift_drs([("a", ["b", "c"]), ("b", []), ("c", [])], base=("a",))
+    assert fraction._draw_steps(drs, ("b",), 3, random.Random(0)) == (("b",), [])
+    ctx = make_context(drs, "braided", base=("b",))
+    assert all(random_element(ctx, 3, seed).is_identity() for seed in range(5))
+
+
 def test_compare(t2_plain):
     x0 = elem(t2_plain, [1, 1], (), [1, 2])
     e = identity_element(t2_plain)

@@ -7,7 +7,7 @@ import pytest
 from braidfrac import braids, harness
 from braidfrac.braids import DigitalBraid, act_bottom, lamination_initial
 from braidfrac.cli import main
-from braidfrac.families import edge_shift_drs
+from braidfrac.families import edge_shift_drs, thompson_drs
 from braidfrac.fraction import FractionElement, parse_element
 from braidfrac.harness import (
     SUITE_NAMES,
@@ -104,6 +104,48 @@ def test_out_of_range_limits_refused(thompson2, flavor, suite, limit, message):
 def test_pure_only_suites_reject_braided(t2_braided, suite):
     with pytest.raises(HarnessError):
         run_suite(suite, t2_braided, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "drs",
+    [
+        thompson_drs(2),
+        thompson_drs(3),
+        edge_shift_drs([("a", ["a", "b"]), ("b", ["a", "b"])], base=("a",)),
+    ],
+    ids=["thompson2", "thompson3", "edge"],
+)
+def test_bi_invariance_suite_on_plain(drs):
+    # the plain order is the realization sign, two-sided like the pure one
+    report = run_suite("bi_invariance", make_context(drs, "plain"), 200, 0)
+    assert report.failures == 0, report_format(report)
+
+
+def test_bi_invariance_suite_refuses_plain_houghton(houghton3):
+    # equal Houghton leaf words force equal forests: nothing signs nonzero
+    with pytest.raises(HarnessError, match="^suite bi_invariance: no positive element"):
+        run_suite("bi_invariance", make_context(houghton3, "plain"), 1, 0)
+
+
+def test_bi_invariance_fails_on_braided(t2_braided):
+    # the braided order is a left order only, which is why the suite
+    # refuses the flavor: its body, run directly, finds a trial that fails
+    results = (
+        harness._suite_bi_invariance(t2_braided, harness._trial_rng(0, i), 6, 12, 16)
+        for i in range(300)
+    )
+    assert any(r is not None for r in results)
+
+
+@pytest.mark.parametrize("flavor", ["braided", "pure"])
+def test_no_canonical_positive_element_is_refused(flavor):
+    # in `a: b c` the letters b and c have no rule: with no braid letters
+    # every draw is the identity, and no leaf word has two equal letters
+    # side by side for a crossing
+    drs = edge_shift_drs([("a", ["b", "c"]), ("b", []), ("c", [])], base=("a",))
+    message = "^suite cone: no canonical positive element found for this context$"
+    with pytest.raises(HarnessError, match=message):
+        run_suite("cone", make_context(drs, flavor), 1, 0, max_braid_letters=0)
 
 
 def test_deterministic_reports(t2_braided):

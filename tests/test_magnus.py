@@ -40,7 +40,6 @@ from braidfrac.magnus import (
     _level_component,
     _level_series,
     _level_sign,
-    _series_terms,
     comb_word,
     free_word_sign,
     invert_free,
@@ -510,8 +509,13 @@ def test_level_series_is_the_magnus_expansion():
         for k in range(2, n + 1):
             component = _level_component(letters, n, k)
             for degree in (2, 3):
-                terms = dict(_series_terms(*_level_series(letters, n, k, degree)))
+                v, q, series = _level_series(letters, n, k, degree)
+                arrays = {(j,): c for j, c in enumerate(v) if c} | {
+                    divmod(x, len(v)): c for x, c in enumerate(q) if c
+                }
+                terms, unused = (series, arrays) if degree > 2 else (arrays, series)
                 expected = magnus_expand(component, degree).coeffs
+                assert not unused, (kind, n, k, degree)
                 assert {(): 1, **terms} == expected, (kind, n, k, degree)
         kinds.add(kind)
     assert len(kinds) == 6
@@ -547,6 +551,64 @@ def test_level_sign_matches_combed_component(monkeypatch):
         ], (n, k, letters)
         at_degree_3 += isinstance(got[1], str) and isinstance(got[2], Sign)
     assert len(levels) >= 2_500 and at_degree_3 >= 200, (len(levels), at_degree_3)
+
+
+def _commutator(a, b):
+    return free_reduce(a + b + invert_free(a) + invert_free(b))
+
+
+def _deep_commutators():
+    """(d, braid word, free word): on 3 strands c_2 = [A13, A23] and
+    c_(d+1) = [c_d, A13 or A23, alternating], conjugated by 1, A12, A12^-1
+    and A12^2, with the same commutator spelled in x1, x2 (e(A_j3) = x_j).
+    The Magnus series of c_d has no nonzero term below degree d.  A braid
+    on strands 1 and 2 acts on level 3 by a conjugating automorphism, which
+    sends X_j to X_j plus terms of higher degree, so the conjugates keep
+    the lowest term, and the reference needs no combing."""
+    pieces = [(a_jk(1, 3), (1,)), (a_jk(2, 3), (2,))]
+    braid, free = _commutator(pieces[0][0], pieces[1][0]), (1, 2, -1, -2)
+    a12 = a_jk(1, 2)
+    for d in range(2, 7):
+        for conj in ((), a12, invert_free(a12), a12 + a12):
+            yield d, free_reduce(conj + braid + invert_free(conj)), free
+        braid = _commutator(braid, pieces[d % 2][0])
+        free = _commutator(free, pieces[d % 2][1])
+
+
+def test_pure_sign_reaches_degree_6():
+    """Each c_d is undecided at cap d - 1, as its free word is, and signed
+    at cap d as its free word is; its inverse signs the other way."""
+    lengths = {}
+    for d, braid, free in _deep_commutators():
+        lengths.setdefault(d, len(braid))
+        with pytest.raises(DegreeCapExceeded) as expected:
+            free_word_sign(free, d - 1)
+        with pytest.raises(DegreeCapExceeded) as got:
+            pure_word_sign(braid, 3, d - 1)
+        assert str(got.value) == str(expected.value), (d, braid)
+        sign = free_word_sign(free, d)
+        assert pure_word_sign(braid, 3, d) is sign, (d, braid)
+        assert pure_word_sign(invert_free(braid), 3, d) is -sign, (d, braid)
+    assert lengths == {2: 10, 3: 22, 4: 46, 5: 94, 6: 190}
+    signs = [free_word_sign(free) for d, _, free in _deep_commutators()][::4]
+    assert signs == [Sign.POSITIVE, Sign.NEGATIVE, Sign.NEGATIVE,
+                     Sign.POSITIVE, Sign.POSITIVE]
+
+
+def test_level_series_of_deep_commutators():
+    """For c_2 and c_3 the series at degrees 3 to 6 is the truncated Magnus
+    expansion of the combed component, coefficient for coefficient.  Their
+    conjugates substitute into terms of degree 2 and 3, so the parts of
+    degree 4 and up of the substitution show; from c_4 up combing is too
+    costly to be the reference."""
+    for d, braid, _ in _deep_commutators():
+        if d > 3:
+            break
+        component = _level_component(braid, 3, 3)
+        for degree in range(3, 7):
+            expected = magnus_expand(component, degree).coeffs
+            series = _level_series(braid, 3, 3, degree)[2]
+            assert {(): 1, **series} == expected, (d, braid, degree)
 
 
 # a conjugated braid of the pure-bi benchmark at its acceptance sizes: all
